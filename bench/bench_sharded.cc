@@ -1,9 +1,10 @@
-// Sharded serving throughput: RouteBatch over a ShardedRouter fanning a
-// Zipf-skewed multi-venue workload out across per-venue shards.
+// Sharded serving throughput: concurrent callers routing a Zipf-skewed
+// multi-venue workload through one ShardedRouter onto per-venue shards.
 //
 // Two readings:
-//   1. Thread scaling at fixed fleet size — the batch thread pool over a
-//      mixed-venue request stream (work-stealing hops shards freely).
+//   1. Thread scaling at fixed fleet size — N callers, one QueryContext
+//      each, over a mixed-venue request stream (work-stealing hops
+//      shards freely).
 //   2. Capacity scaling along the diagonal — traffic and worker threads
 //      grow with the fleet (requests/shard and threads/shard constant),
 //      the acceptance check that aggregate throughput is near-linear in
@@ -12,6 +13,7 @@
 // Ends with the CatalogStats report of the largest fleet: per-shard
 // traffic, answer counts, snapshot-cache builds, and resident memory.
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -55,14 +57,29 @@ std::vector<QueryRequest> BuildWorkload(const VenueCatalog& catalog,
   return *std::move(workload);
 }
 
-// Kilo-queries per second of one RouteBatch call (after a warm-up batch
-// that populates every shard's snapshot cache).
+// Kilo-queries per second of `threads` callers sharing one router, each
+// with its own QueryContext, pulling requests off a shared index.
+// Requests vary wildly in cost (off-hours queries finish in
+// microseconds), so work-stealing keeps every caller busy; a caller's
+// context hops shards as the order dictates.
 double MeasureKqps(const ShardedRouter& router,
                    const std::vector<QueryRequest>& requests, int threads) {
-  BatchOptions options;
-  options.num_threads = threads;
+  std::vector<StatusOr<QueryResult>> results(
+      requests.size(), StatusOr<QueryResult>(InternalError("not routed")));
+  std::atomic<size_t> next{0};
+  auto caller = [&] {
+    QueryContext context;
+    for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < requests.size();
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      results[i] = router.Route(requests[i], &context);
+    }
+  };
   Timer timer;
-  const auto results = router.RouteBatch(requests, options);
+  std::vector<std::thread> pool;
+  for (int t = 1; t < threads; ++t) pool.emplace_back(caller);
+  caller();
+  for (std::thread& t : pool) t.join();
   const double seconds = timer.ElapsedSeconds();
   for (const auto& r : results) {
     if (!r.ok()) {
@@ -96,7 +113,7 @@ void Run(int threads_override, uint64_t seed) {
     series.push_back(std::to_string(threads) +
                      (threads == 1 ? " thread" : " threads"));
   }
-  PrintHeader("bench_sharded: batch throughput, Zipf(1.0) traffic",
+  PrintHeader("bench_sharded: caller throughput, Zipf(1.0) traffic",
               "shards", series);
   for (int shards : {1, 2, 4}) {
     VenueCatalog catalog = BuildCatalog(shards, seed);

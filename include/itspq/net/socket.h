@@ -79,8 +79,14 @@ Status WriteFrame(int fd, std::string_view frame);
 /// Sets SO_RCVTIMEO. 0 disables (blocking reads).
 Status SetRecvTimeout(int fd, double seconds);
 
-/// Connects to 127.0.0.1:`port`. kInternal on socket/connect failure
-/// (message carries errno text).
+/// Sets TCP_NODELAY: frames are small and latency-sensitive, so a
+/// reply must not wait behind Nagle for the peer's delayed ACK. Both
+/// ends of every connection call it — ConnectLoopback on the client
+/// side, the server on each accepted socket.
+Status SetNoDelay(int fd);
+
+/// Connects to 127.0.0.1:`port` with TCP_NODELAY set. kInternal on
+/// socket/connect failure (message carries errno text).
 StatusOr<ScopedFd> ConnectLoopback(uint16_t port);
 
 /// Creates a loopback listener on `port` (0 = kernel-assigned) and

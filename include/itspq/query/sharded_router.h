@@ -3,11 +3,10 @@
 
 // The composite Router over a VenueCatalog. Route() dispatches each
 // request to the shard named by QueryRequest::venue_id and bumps that
-// shard's traffic counters; the inherited RouteBatch fans a mixed-venue
-// batch out over the opt-in thread pool, each worker's QueryContext
-// hopping shards as the work-stealing order dictates (per-query scratch
-// is re-sized per graph, so context hopping is safe — locked in by
-// tests/sharding_test.cc).
+// shard's traffic counters; the inherited RouteBatch answers a
+// mixed-venue batch on one QueryContext that hops shards from request
+// to request (per-query scratch is re-sized per graph, so context
+// hopping is safe — locked in by tests/sharding_test.cc).
 //
 // ShardedRouter is itself a Router, so the serving frontend can speak
 // one interface whether it fronts one venue or a whole fleet. It is a

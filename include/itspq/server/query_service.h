@@ -5,10 +5,13 @@
 //
 // A QueryService owns a fully built VenueCatalog, fronts it with a
 // ShardedRouter, and serves Submit()ed requests through a bounded
-// admission queue drained by worker threads. Each worker coalesces up
-// to `max_batch` queued requests (waiting at most `max_wait_micros`
-// after the first) into one RouteBatch call, re-checking per-request
-// deadlines before and after dispatch. Admission control is explicit:
+// admission queue drained by worker threads. A worker that pops a
+// request also takes whatever is already queued behind it (in class
+// order, up to `max_batch` in all) and dispatches the lot at once as
+// one RouteBatch call — it never waits for stragglers, so an idle
+// service answers a lone request immediately and batches form only
+// under backlog. Per-request deadlines are re-checked before and after
+// dispatch. Admission control is explicit:
 //
 //   queue full            -> kResourceExhausted  (backpressure)
 //   displaced while queued-> kResourceExhausted  (shed: a higher QoS
@@ -44,7 +47,7 @@
 //   VenueCatalog catalog = BuildFleet();
 //   ServiceOptions opts;
 //   opts.num_workers = 4;
-//   opts.max_batch = 16;
+//   opts.max_batch = 16;                            // at most 16 per dispatch
 //   opts.default_deadline_micros = 50'000;          // 50 ms SLO
 //   auto service = MakeQueryService(std::move(catalog), opts);
 //   std::future<StatusOr<QueryResult>> answer =
@@ -119,12 +122,12 @@ struct ServiceOptions {
   /// Worker threads draining the queue. Each worker owns one
   /// QueryContext for its whole lifetime.
   int num_workers = 2;
-  /// Micro-batching shape: a worker coalesces up to `max_batch` queued
-  /// requests into one RouteBatch call, waiting at most
-  /// `max_wait_micros` after the first request for stragglers.
-  /// max_batch = 1 disables coalescing.
+  /// Micro-batching bound: a worker dispatches the request it popped
+  /// plus whatever is already queued, up to `max_batch` requests in one
+  /// RouteBatch call. It never waits for more to arrive, so batches
+  /// larger than one form only under backlog. max_batch = 1 disables
+  /// coalescing.
   size_t max_batch = 16;
-  double max_wait_micros = 200;
   /// Deadline applied by the one-argument Submit(); 0 = no deadline.
   double default_deadline_micros = 0;
   /// Adaptive queue limit: when > 0, the admission limit is
@@ -407,7 +410,7 @@ class QueryService {
 };
 
 /// Validates `options` (positive queue capacity, workers, and batch
-/// size; non-negative waits/deadlines — kInvalidArgument otherwise),
+/// size; non-negative deadlines — kInvalidArgument otherwise),
 /// requires a non-empty catalog (kFailedPrecondition), and starts the
 /// worker threads. The service owns the catalog from here on.
 StatusOr<std::unique_ptr<QueryService>> MakeQueryService(

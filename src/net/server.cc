@@ -82,6 +82,7 @@ void NetServer::AcceptLoop() {
     }
     auto conn = std::make_unique<Connection>();
     conn->fd.Reset(raw);
+    (void)SetNoDelay(raw);
     if (options_.recv_timeout_seconds > 0) {
       (void)SetRecvTimeout(raw, options_.recv_timeout_seconds);
     }

@@ -121,6 +121,14 @@ Status SetRecvTimeout(int fd, double seconds) {
   return Status::Ok();
 }
 
+Status SetNoDelay(int fd) {
+  int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one) != 0) {
+    return InternalError(ErrnoText("setsockopt(TCP_NODELAY)"));
+  }
+  return Status::Ok();
+}
+
 StatusOr<ScopedFd> ConnectLoopback(uint16_t port) {
   ScopedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
   if (!fd.valid()) return InternalError(ErrnoText("socket"));
@@ -132,9 +140,7 @@ StatusOr<ScopedFd> ConnectLoopback(uint16_t port) {
                 sizeof addr) != 0) {
     return InternalError(ErrnoText("connect"));
   }
-  // Frames are small and latency-sensitive; don't let Nagle batch them.
-  int one = 1;
-  (void)::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  (void)SetNoDelay(fd.get());
   return fd;
 }
 

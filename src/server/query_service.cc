@@ -305,25 +305,14 @@ void QueryService::WorkerLoop() {
       });
       // The predicate only passes with empty queues when draining.
       if (TotalQueuedLocked() == 0) return;
-      batch.push_back(PopHighestLocked());
-      // Micro-batching: soak up whatever is queued — strictly in class
-      // order, so interactive work never waits behind background —
-      // waiting up to max_wait after the first request for stragglers.
-      // While draining there is no one left to wait for.
-      const Clock::time_point stragglers_until =
-          Clock::now() + DurationFromMicros(options_.max_wait_micros);
-      while (batch.size() < options_.max_batch) {
-        if (TotalQueuedLocked() > 0) {
-          batch.push_back(PopHighestLocked());
-          continue;
-        }
-        if (draining_) break;
-        if (!cv_.wait_until(lock, stragglers_until, [this] {
-              return TotalQueuedLocked() > 0 || draining_;
-            })) {
-          break;
-        }
-      }
+      // Micro-batching: take whatever is already queued — strictly in
+      // class order, so interactive work never waits behind background —
+      // and dispatch at once. Never wait for stragglers: an idle service
+      // serves a lone request immediately, and under backlog batches
+      // form on their own while the workers are busy.
+      do {
+        batch.push_back(PopHighestLocked());
+      } while (batch.size() < options_.max_batch && TotalQueuedLocked() > 0);
     }
     Dispatch(&batch, &context);
   }
@@ -350,12 +339,11 @@ void QueryService::Dispatch(std::vector<Pending>* batch,
   std::vector<QueryRequest> requests;
   requests.reserve(live.size());
   for (const Pending& pending : live) requests.push_back(pending.request);
-  // The coalesced call. Workers are the parallelism, so the batch runs
-  // sequentially on this worker's long-lived context.
-  BatchOptions sequential;
-  sequential.context = context;
+  // The coalesced call, on this worker's long-lived context.
+  BatchOptions batch_options;
+  batch_options.context = context;
   std::vector<StatusOr<QueryResult>> results =
-      router_.RouteBatch(requests, sequential);
+      router_.RouteBatch(requests, batch_options);
 
   // Feed the admission-side signals: per-request route time, smoothed.
   // The first sample seeds the EWMA; later ones decay at 0.9 so a load
@@ -464,12 +452,6 @@ StatusOr<std::unique_ptr<QueryService>> MakeQueryService(
   }
   if (options.max_batch == 0) {
     return InvalidArgumentError("service options: max_batch must be positive");
-  }
-  // The 1e15 µs (~31 year) ceiling keeps the wait arithmetic inside
-  // steady_clock's range — same bound DeadlineFor treats as "never".
-  if (!(options.max_wait_micros >= 0) || !(options.max_wait_micros < 1e15)) {
-    return InvalidArgumentError(
-        "service options: max_wait_micros must be in [0, 1e15)");
   }
   // !(x >= 0) also catches NaN: a NaN default would make every
   // defaulted Submit() bounce with kInvalidArgument at admission.

@@ -787,14 +787,18 @@ TEST(FamilyBatchTest, MixedKindBatchMatchesSequentialRoutes) {
     sequential.push_back(router->Route(request, &context));
   }
 
-  for (int num_threads : {1, 4}) {
+  // Once on a per-call throwaway context, once on the caller's.
+  QueryContext batch_context;
+  for (QueryContext* caller_context : {static_cast<QueryContext*>(nullptr),
+                                       &batch_context}) {
     BatchOptions options;
-    options.num_threads = num_threads;
+    options.context = caller_context;
     const auto batched = router->RouteBatch(requests, options);
     ASSERT_EQ(batched.size(), requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {
       const std::string where =
-          std::to_string(num_threads) + " threads slot " + std::to_string(i);
+          std::string(caller_context ? "caller" : "throwaway") +
+          " context slot " + std::to_string(i);
       ASSERT_EQ(batched[i].ok(), sequential[i].ok()) << where;
       if (!batched[i].ok()) continue;
       EXPECT_EQ(batched[i]->found, sequential[i]->found) << where;

@@ -10,6 +10,9 @@
 // file against real sockets).
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <chrono>
 #include <cstdlib>
@@ -395,6 +398,48 @@ TEST(NetControlTest, StatsFrameReflectsTraffic) {
   EXPECT_EQ(stats.submitted, 8u);
   EXPECT_EQ(stats.served, 8u);
   EXPECT_EQ(stats.served_by_class[1], 8u);
+}
+
+// Replies are small frames; Nagle on the server's side would hold each
+// one back until the client's delayed ACK. Both ends must disable it:
+// the client fd, and the server's accepted fd — found in this process
+// as the socket whose peer is the client's local address.
+TEST(NetSocketTest, AcceptedAndConnectedSocketsSetNoDelay) {
+  auto server = MakeTestServer();
+  ScopedFd client = ValueOrDie(ConnectLoopback(server->port()), "connect");
+  ASSERT_TRUE(
+      WaitFor([&] { return server->Stats().connections_accepted == 1; }));
+
+  auto no_delay = [](int fd) {
+    int value = 0;
+    socklen_t len = sizeof value;
+    EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+    return value != 0;
+  };
+  EXPECT_TRUE(no_delay(client.get()));
+
+  sockaddr_in client_addr = {};
+  socklen_t addr_len = sizeof client_addr;
+  ASSERT_EQ(::getsockname(client.get(),
+                          reinterpret_cast<sockaddr*>(&client_addr),
+                          &addr_len),
+            0);
+  int accepted = -1;
+  for (int fd = 0; fd < 4096 && accepted < 0; ++fd) {
+    sockaddr_in peer = {};
+    socklen_t peer_len = sizeof peer;
+    if (fd == client.get() ||
+        ::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &peer_len) != 0 ||
+        peer.sin_family != AF_INET) {
+      continue;
+    }
+    if (peer.sin_port == client_addr.sin_port &&
+        peer.sin_addr.s_addr == client_addr.sin_addr.s_addr) {
+      accepted = fd;
+    }
+  }
+  ASSERT_GE(accepted, 0) << "server-side socket of the connection not found";
+  EXPECT_TRUE(no_delay(accepted));
 }
 
 // ---------------------------------------------------------------------

@@ -133,9 +133,7 @@ TEST(RouteBatchTest, AgreesWithSequentialRoute) {
       sequential.push_back((*router)->Route(request, &context));
     }
 
-    BatchOptions threaded;
-    threaded.num_threads = 4;
-    const auto batched = (*router)->RouteBatch(requests, threaded);
+    const auto batched = (*router)->RouteBatch(requests);
     ASSERT_EQ(batched.size(), requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {
       ASSERT_EQ(batched[i].ok(), sequential[i].ok()) << name << " #" << i;
@@ -143,16 +141,16 @@ TEST(RouteBatchTest, AgreesWithSequentialRoute) {
       EXPECT_EQ(batched[i]->found, sequential[i]->found)
           << name << " #" << i;
       if (batched[i]->found) {
-        EXPECT_NEAR(batched[i]->path.length_m(),
-                    sequential[i]->path.length_m(), 1e-9)
+        EXPECT_EQ(batched[i]->path.length_m(),
+                  sequential[i]->path.length_m())
             << name << " #" << i;
       }
     }
   }
 }
 
-// Regression: an empty batch must return cleanly — no worker spawn, no
-// placeholder slots — whatever the thread option says.
+// Regression: an empty batch must return cleanly — no placeholder
+// slots, and a caller's context is not touched.
 TEST(RouteBatchTest, EmptyRequestVectorReturnsCleanly) {
   ApiWorld world = MakeWorld();
   auto router = MakeRouter("itg-s", *world.graph);
@@ -161,85 +159,51 @@ TEST(RouteBatchTest, EmptyRequestVectorReturnsCleanly) {
   const std::vector<QueryRequest> empty;
   EXPECT_TRUE((*router)->RouteBatch(empty).empty());
 
-  BatchOptions threaded;
-  threaded.num_threads = 8;
-  EXPECT_TRUE((*router)->RouteBatch(empty, threaded).empty());
-}
-
-// Regression: more worker threads than requests — the pool must clamp
-// to the batch size and still answer every slot.
-TEST(RouteBatchTest, MoreThreadsThanRequests) {
-  ApiWorld world = MakeWorld();
-  auto router = MakeRouter("itg-s", *world.graph);
-  ASSERT_TRUE(router.ok());
-  std::vector<QueryRequest> requests(MakeRequests(world));
-  requests.resize(3);
-
   QueryContext context;
-  std::vector<StatusOr<QueryResult>> sequential;
-  for (const QueryRequest& request : requests) {
-    sequential.push_back((*router)->Route(request, &context));
-  }
-
-  for (int num_threads : {16, 1000}) {
-    BatchOptions oversubscribed;
-    oversubscribed.num_threads = num_threads;
-    const auto results = (*router)->RouteBatch(requests, oversubscribed);
-    ASSERT_EQ(results.size(), requests.size()) << num_threads;
-    for (size_t i = 0; i < requests.size(); ++i) {
-      ASSERT_TRUE(results[i].ok()) << num_threads << " #" << i;
-      EXPECT_EQ(results[i]->found, sequential[i]->found)
-          << num_threads << " #" << i;
-      if (results[i]->found) {
-        EXPECT_NEAR(results[i]->path.length_m(),
-                    sequential[i]->path.length_m(), 1e-9)
-            << num_threads << " #" << i;
-      }
-    }
-  }
+  BatchOptions with_context;
+  with_context.context = &context;
+  EXPECT_TRUE((*router)->RouteBatch(empty, with_context).empty());
 }
 
-// The BatchOptions::context contract, pinned: the sequential path may
-// reuse the caller's context, the threaded fan-out ignores it entirely
-// (workers bring their own), and either way the answers are identical
-// and the caller's context remains usable afterwards.
-TEST(RouteBatchTest, ThreadedFanOutIgnoresCallerContext) {
+// The BatchOptions::context contract, pinned: a batch routed on the
+// caller's context answers exactly what a per-call throwaway context
+// answers, and the context stays usable afterwards — QueryService
+// workers reuse one context across every batch they serve.
+TEST(RouteBatchTest, ReusesCallerContext) {
   ApiWorld world = MakeWorld();
   auto router = MakeRouter("itg-a+", *world.graph);
   ASSERT_TRUE(router.ok());
   const std::vector<QueryRequest> requests = MakeRequests(world);
 
   QueryContext context;
-  BatchOptions sequential;
-  sequential.context = &context;  // scratch-reuse path
-  const auto seq_results = (*router)->RouteBatch(requests, sequential);
+  BatchOptions reuse;
+  reuse.context = &context;
+  const auto reused = (*router)->RouteBatch(requests, reuse);
+  const auto reused_again = (*router)->RouteBatch(requests, reuse);
+  const auto throwaway = (*router)->RouteBatch(requests);
 
-  BatchOptions threaded;
-  threaded.num_threads = 4;
-  threaded.context = &context;  // ignored by contract, not raced on
-  const auto thr_results = (*router)->RouteBatch(requests, threaded);
-
-  ASSERT_EQ(seq_results.size(), requests.size());
-  ASSERT_EQ(thr_results.size(), requests.size());
+  ASSERT_EQ(reused.size(), requests.size());
+  ASSERT_EQ(reused_again.size(), requests.size());
+  ASSERT_EQ(throwaway.size(), requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
-    ASSERT_EQ(thr_results[i].ok(), seq_results[i].ok()) << "#" << i;
-    if (!thr_results[i].ok()) continue;
-    EXPECT_EQ(thr_results[i]->found, seq_results[i]->found) << "#" << i;
-    if (thr_results[i]->found) {
-      EXPECT_EQ(thr_results[i]->path.length_m(),
-                seq_results[i]->path.length_m())
+    ASSERT_EQ(reused[i].ok(), throwaway[i].ok()) << "#" << i;
+    ASSERT_EQ(reused_again[i].ok(), throwaway[i].ok()) << "#" << i;
+    if (!throwaway[i].ok()) continue;
+    EXPECT_EQ(reused[i]->found, throwaway[i]->found) << "#" << i;
+    EXPECT_EQ(reused_again[i]->found, throwaway[i]->found) << "#" << i;
+    if (throwaway[i]->found) {
+      EXPECT_EQ(reused[i]->path.length_m(), throwaway[i]->path.length_m())
+          << "#" << i;
+      EXPECT_EQ(reused_again[i]->path.length_m(),
+                throwaway[i]->path.length_m())
           << "#" << i;
     }
   }
 
-  // The context survives both batches: a direct Route through it still
-  // answers, and an empty batch with a context touches nothing.
+  // A direct Route through the same context still answers.
   auto after = (*router)->Route(requests[0], &context);
   ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->found, seq_results[0]->found);
-  BatchOptions empty_with_context;
-  empty_with_context.context = &context;
-  EXPECT_TRUE((*router)->RouteBatch({}, empty_with_context).empty());
+  EXPECT_EQ(after->found, throwaway[0]->found);
 }
 
 TEST(RouteBatchTest, ReportsPerRequestErrors) {
@@ -249,9 +213,7 @@ TEST(RouteBatchTest, ReportsPerRequestErrors) {
   std::vector<QueryRequest> requests = MakeRequests(world);
   requests[1].source = IndoorPoint{{1e6, 1e6}, 0};  // outside the venue
 
-  BatchOptions threaded;
-  threaded.num_threads = 2;
-  const auto results = (*router)->RouteBatch(requests, threaded);
+  const auto results = (*router)->RouteBatch(requests);
   ASSERT_EQ(results.size(), requests.size());
   EXPECT_TRUE(results[0].ok());
   EXPECT_EQ(results[1].status().code(), StatusCode::kInvalidArgument);

@@ -196,9 +196,11 @@ TEST(ShardedRouterTest, RouteBatchFansOutAcrossShards) {
         catalog.router(request.venue_id).Route(request, &context));
   }
 
-  BatchOptions threaded;
-  threaded.num_threads = 4;
-  const auto batched = sharded.RouteBatch(requests, threaded);
+  // One batch context hops shards from request to request.
+  QueryContext batch_context;
+  BatchOptions options;
+  options.context = &batch_context;
+  const auto batched = sharded.RouteBatch(requests, options);
   ASSERT_EQ(batched.size(), requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     ASSERT_EQ(batched[i].ok(), direct[i].ok()) << i;
