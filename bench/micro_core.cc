@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot primitives underneath
 // the ITSPQ search: ATI membership, checkpoint lookup, reduced-graph
-// derivation, point location, DM lookup, frontier disciplines, masked
-// neighbour scans, and end-to-end queries.
+// derivation, point location, door-adjacency compile, frontier
+// disciplines, masked neighbour scans, and end-to-end queries.
 
 #include <benchmark/benchmark.h>
 
@@ -94,27 +94,17 @@ void BM_PointLocation(benchmark::State& state) {
 }
 BENCHMARK(BM_PointLocation);
 
-void BM_DistanceMatrixLookup(benchmark::State& state) {
+void BM_CsrAdjacencyCompile(benchmark::State& state) {
+  // Build-time (and artifact-load) cost of the door adjacency: one
+  // straight-line distance per directed edge of the mall.
   const World& world = SharedWorld();
-  // The largest-degree partition gives a representative DM.
-  PartitionId big = 0;
-  for (size_t v = 0; v < world.venue->NumPartitions(); ++v) {
-    if (world.venue->DoorsOf(static_cast<PartitionId>(v)).size() >
-        world.venue->DoorsOf(big).size()) {
-      big = static_cast<PartitionId>(v);
-    }
-  }
-  const auto& doors = world.venue->DoorsOf(big);
-  const DistanceMatrix& dm = world.venue->distance_matrix(big);
-  size_t i = 0;
   for (auto _ : state) {
-    const DoorId a = doors[i % doors.size()];
-    const DoorId b = doors[(i * 7 + 3) % doors.size()];
-    benchmark::DoNotOptimize(dm.DistanceUnchecked(a, b));
-    ++i;
+    const CsrAdjacency adj = CsrAdjacency::Compile(*world.venue);
+    benchmark::DoNotOptimize(adj.neighbor_weights.data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_DistanceMatrixLookup);
+BENCHMARK(BM_CsrAdjacencyCompile);
 
 void BM_FrontierQueue(benchmark::State& state) {
   // A synthetic Dijkstra-shaped workload: pushes drift upward from the

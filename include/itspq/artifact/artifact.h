@@ -4,18 +4,19 @@
 // Packed venue artifacts: build-once/load-fast serialization of a full
 // venue world (format.h documents the on-disk layout).
 //
-// The write side compiles everything expensive exactly once — distance
-// matrices ride along from the venue, AtiSets are normalised, the
-// checkpoint ledger and flip CSR are derived, the D2D matrix optionally
-// materialised — and packs it into one flat `.itspq` file:
+// The write side compiles everything expensive exactly once — AtiSets
+// are normalised, the checkpoint ledger and flip CSR are derived, the
+// D2D matrix optionally materialised — and packs it into one flat
+// `.itspq` file:
 //
 //   ItGraph + ledger + (D2D)   EncodeVenueArtifact / WriteVenueArtifact
 //
 // The load side is O(file size): every section is checksummed, bounds-
 // checked, and adopted verbatim — no AtiSet::Create, no Dijkstra, no
-// checkpoint probe. BuildWorldFromArtifact then publishes the decoded
-// world as a `VersionedGraph` epoch 0, so lazy shards compose with the
-// online-update plane unchanged:
+// checkpoint probe. BuildWorldFromArtifact compiles the door adjacency
+// from the validated door positions and door lists (the artifact stores
+// no distances), then publishes the world as a `VersionedGraph` epoch 0,
+// so lazy shards compose with the online-update plane unchanged:
 //
 //   LoadVenueArtifact(path) -> LoadedVenueWorld
 //     -> BuildWorldFromArtifact(world, "itg-a+") -> shared_ptr<const VersionedGraph>
@@ -31,7 +32,6 @@
 
 #include "common/status.h"
 #include "itgraph/ati.h"
-#include "itgraph/csr_adjacency.h"
 #include "query/registry.h"
 #include "query/router.h"
 #include "venue/venue.h"
@@ -55,10 +55,6 @@ struct LoadedVenueWorld {
   std::unique_ptr<Venue> venue;
   /// Compiled per-door AtiSets, adopted verbatim into the ItGraph.
   std::vector<AtiSet> atis;
-  /// Compiled CSR adjacency (format v2+), adopted verbatim into the
-  /// ItGraph. Null in a hand-assembled world: BuildWorldFromArtifact
-  /// then compiles it from the venue instead.
-  std::shared_ptr<const CsrAdjacency> adjacency;
   /// The boundary ledger: checkpoint_times[i] is contributed by exactly
   /// the (ascending) doors in flip_lists[i].
   std::vector<double> checkpoint_times;
@@ -103,8 +99,9 @@ StatusOr<std::vector<std::string>> ReadFleetManifest(const std::string& path);
 
 /// Assembles a serving world from a decoded artifact and publishes it
 /// as a `VersionedGraph` epoch 0 under `strategy` — the lazy-load
-/// equivalent of VersionedGraph::Build(venue, ...), minus all the
-/// compilation that build performs (the artifact already carries it).
+/// equivalent of VersionedGraph::Build(venue, ...). Of that build's
+/// compilation only the door adjacency is redone (from geometry); the
+/// AtiSets and the checkpoint ledger are adopted from the artifact.
 StatusOr<std::shared_ptr<const VersionedGraph>> BuildWorldFromArtifact(
     LoadedVenueWorld world, const std::string& strategy,
     const RouterBuildOptions& options = RouterBuildOptions(),

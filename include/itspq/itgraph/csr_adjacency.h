@@ -3,12 +3,14 @@
 
 // Flat CSR adjacency over the implicit door graph.
 //
-// The door graph's edges were never materialised: a relaxation walked
-// venue.DoorsOf(partition) and read each weight from the partition's
-// DistanceMatrix — three pointer hops per neighbour, none of them
-// sequential. CsrAdjacency compiles that walk once, at graph build
-// time, into index-aligned contiguous arrays so the Dijkstra inner
-// loop streams neighbour ids and weights from adjacent cache lines.
+// The paper's IT-Graph has doors as vertices and intra-partition
+// door-to-door distances as edge weights. Partitions are convex
+// rectangles, so such a distance is the straight line between the two
+// door positions: the door positions and DoorsOf lists are the only
+// source of weights. CsrAdjacency compiles that walk once, at graph
+// build (or artifact load) time, into index-aligned contiguous arrays
+// so the Dijkstra inner loop streams neighbour ids and weights from
+// adjacent cache lines.
 //
 // Layout: door d owns two segments, 2d and 2d+1, one per entry of
 // DoorPartitions(d) in order (a door always records two partitions;
@@ -19,7 +21,8 @@
 //   seg_offsets  : 2n+1 offsets into the neighbour pool
 //   seg_partition: the partition segment s expands (pruning key)
 //   neighbor_ids : the other doors of that partition, ascending
-//   neighbor_weights: DistanceUnchecked(d, neighbour), index-aligned
+//   neighbor_weights: EuclideanDistance(pos(d), pos(neighbour)),
+//                 index-aligned
 //
 // min/max edge weight ride along for the frontier selection rule: the
 // bucket queue (frontier_queue.h) is exact only when every edge weight
@@ -66,18 +69,6 @@ struct CsrAdjacency {
     return min_edge_weight > 0 &&
            min_edge_weight < std::numeric_limits<double>::infinity() &&
            max_edge_weight <= min_edge_weight * kMaxBucketSpan;
-  }
-
-  /// Recomputes the weight extremes from the arrays — the artifact
-  /// loader calls this after adopting a decoded adjacency instead of
-  /// trusting two more bytes of the file.
-  void RecomputeWeightExtremes() {
-    min_edge_weight = std::numeric_limits<double>::infinity();
-    max_edge_weight = 0;
-    for (double w : neighbor_weights) {
-      if (w < min_edge_weight) min_edge_weight = w;
-      if (w > max_edge_weight) max_edge_weight = w;
-    }
   }
 
   size_t MemoryUsage() const {

@@ -30,8 +30,6 @@ const char* SectionName(uint32_t kind) {
       return "DoorAtis";
     case ArtifactSection::kDoorsOf:
       return "DoorsOf";
-    case ArtifactSection::kDistanceMatrices:
-      return "DistanceMatrices";
     case ArtifactSection::kFloorIndex:
       return "FloorIndex";
     case ArtifactSection::kCompiledAtis:
@@ -42,8 +40,6 @@ const char* SectionName(uint32_t kind) {
       return "FlipIndex";
     case ArtifactSection::kD2d:
       return "D2d";
-    case ArtifactSection::kAdjacencyCsr:
-      return "AdjacencyCsr";
   }
   return "?";
 }
@@ -78,7 +74,9 @@ class ByteReader {
       failed_ = true;
       return false;
     }
-    std::memcpy(p, data_ + pos_, n);
+    // memcpy needs non-null pointers even for zero bytes, and an empty
+    // vector's data() may be null.
+    if (n > 0) std::memcpy(p, data_ + pos_, n);
     pos_ += n;
     return true;
   }
@@ -118,6 +116,13 @@ Status CorruptSection(uint32_t kind, const std::string& what) {
 
 constexpr uint64_t kFlagHasD2d = 1;
 
+// The adjacency compile expands a door list of k doors into k(k-1)
+// directed edges, so a small hostile file could otherwise demand an
+// enormous adjacency. 2^26 edges (an ~800 MB CSR) is over 1000x the
+// paper's 5-floor mall (~55k edges) and far inside the CSR's 32-bit
+// offsets.
+constexpr uint64_t kMaxAdjacencyEdges = uint64_t{1} << 26;
+
 struct MetaSection {
   uint64_t num_partitions = 0;
   uint64_t num_doors = 0;
@@ -127,9 +132,9 @@ struct MetaSection {
 
 }  // namespace
 
-/// Befriended by Venue, DistanceMatrix, AtiSet, ItGraph, and
-/// VersionedGraph: encodes their private representations verbatim and
-/// re-adopts them at load time without recompiling anything.
+/// Befriended by Venue, AtiSet, ItGraph, and VersionedGraph: encodes
+/// their private representations verbatim and re-adopts them at load
+/// time; only the door adjacency is recompiled, from the geometry.
 class ArtifactCodec {
  public:
   static StatusOr<std::vector<uint8_t>> Encode(
@@ -147,10 +152,8 @@ class ArtifactCodec {
   static void EncodeDoors(const Venue& v, ByteWriter& w);
   static void EncodeDoorAtis(const Venue& v, ByteWriter& w);
   static void EncodeDoorsOf(const Venue& v, ByteWriter& w);
-  static void EncodeDistanceMatrices(const Venue& v, ByteWriter& w);
   static void EncodeFloorIndex(const Venue& v, ByteWriter& w);
   static void EncodeCompiledAtis(const ItGraph& g, ByteWriter& w);
-  static void EncodeAdjacencyCsr(const ItGraph& g, ByteWriter& w);
 
   // --- decode helpers ---
   static Status ParseMeta(ByteReader& r, MetaSection* meta);
@@ -159,8 +162,6 @@ class ArtifactCodec {
                            Venue* venue);
   static Status ParseCompiledAtis(ByteReader& r, size_t num_doors,
                                   std::vector<AtiSet>* atis);
-  static Status ParseAdjacencyCsr(ByteReader& r, const Venue& venue,
-                                  std::shared_ptr<const CsrAdjacency>* adj);
 };
 
 // ---------------------------------------------------------------------------
@@ -227,16 +228,6 @@ void ArtifactCodec::EncodeDoorsOf(const Venue& v, ByteWriter& w) {
   for (const auto& doors : v.doors_of_) w.Pod(doors);
 }
 
-void ArtifactCodec::EncodeDistanceMatrices(const Venue& v, ByteWriter& w) {
-  for (const DistanceMatrix& dm : v.distance_matrices_) {
-    w.U64(dm.num_doors_);
-    w.I32(dm.base_id_);
-    w.U32(static_cast<uint32_t>(dm.local_index_.size()));
-  }
-  for (const DistanceMatrix& dm : v.distance_matrices_) w.Pod(dm.local_index_);
-  for (const DistanceMatrix& dm : v.distance_matrices_) w.Pod(dm.matrix_);
-}
-
 void ArtifactCodec::EncodeFloorIndex(const Venue& v, ByteWriter& w) {
   w.I32(v.min_floor_);
   w.U32(static_cast<uint32_t>(v.floor_index_.size()));
@@ -267,19 +258,6 @@ void ArtifactCodec::EncodeCompiledAtis(const ItGraph& g, ByteWriter& w) {
   for (const AtiSet& a : g.atis_) w.Pod(a.ends_);
 }
 
-void ArtifactCodec::EncodeAdjacencyCsr(const ItGraph& g, ByteWriter& w) {
-  // The search core's relaxation arrays, verbatim: 2 segments per door
-  // (one per partition side), each a contiguous (neighbour id, weight)
-  // run. Weight extremes are recomputed at load — cheaper than trusting
-  // two floats a corrupt file could use to demote the bucket queue.
-  const CsrAdjacency& adj = g.adjacency();
-  w.U64(adj.num_doors);
-  w.Pod(adj.seg_offsets);
-  w.Pod(adj.seg_partition);
-  w.Pod(adj.neighbor_ids);
-  w.Pod(adj.neighbor_weights);
-}
-
 StatusOr<std::vector<uint8_t>> ArtifactCodec::Encode(
     const Venue& venue, const ArtifactWriteOptions& options) {
   // Pay the whole build pipeline once, here: graph compilation
@@ -299,10 +277,8 @@ StatusOr<std::vector<uint8_t>> ArtifactCodec::Encode(
   EncodeDoors(venue, section(ArtifactSection::kDoors));
   EncodeDoorAtis(venue, section(ArtifactSection::kDoorAtis));
   EncodeDoorsOf(venue, section(ArtifactSection::kDoorsOf));
-  EncodeDistanceMatrices(venue, section(ArtifactSection::kDistanceMatrices));
   EncodeFloorIndex(venue, section(ArtifactSection::kFloorIndex));
   EncodeCompiledAtis(*graph, section(ArtifactSection::kCompiledAtis));
-  EncodeAdjacencyCsr(*graph, section(ArtifactSection::kAdjacencyCsr));
 
   // The boundary ledger, grouped exactly as VersionedGraph::Build does
   // it: (time, door) contributions sorted on the pair key, so each
@@ -418,16 +394,14 @@ Status CheckHeaderAndTable(const uint8_t* data, size_t size,
         "artifact written with foreign byte order (endian tag mismatch)");
   }
   if (header.format_version != kArtifactFormatVersion) {
-    if (header.format_version > kArtifactFormatVersion) {
-      return FailedPreconditionError(
-          "artifact format version " + std::to_string(header.format_version) +
-          " is newer than this build supports (" +
-          std::to_string(kArtifactFormatVersion) + "); rebuild the artifact");
-    }
+    // Either way the layouts differ (format.h lists what each version
+    // changed), so the file is refused outright, never guessed at.
     return FailedPreconditionError(
-        "unsupported artifact format version " +
-        std::to_string(header.format_version) + " (supported: " +
-        std::to_string(kArtifactFormatVersion) + ")");
+        "artifact format version " + std::to_string(header.format_version) +
+        (header.format_version > kArtifactFormatVersion ? " is newer"
+                                                        : " is older") +
+        " than this build supports (" +
+        std::to_string(kArtifactFormatVersion) + "); rebuild the artifact");
   }
   if (header.header_bytes != sizeof(ArtifactHeader)) {
     return InvalidArgumentError("artifact header size field is corrupt");
@@ -537,60 +511,6 @@ Status ArtifactCodec::ParseCompiledAtis(ByteReader& r, size_t num_doors,
   return Status::Ok();
 }
 
-Status ArtifactCodec::ParseAdjacencyCsr(
-    ByteReader& r, const Venue& venue,
-    std::shared_ptr<const CsrAdjacency>* adj) {
-  constexpr uint32_t kKind =
-      static_cast<uint32_t>(ArtifactSection::kAdjacencyCsr);
-  const size_t n = venue.NumDoors();
-  auto out = std::make_shared<CsrAdjacency>();
-  uint64_t num_doors = 0;
-  if (!r.U64(&num_doors) || num_doors != n) {
-    return CorruptSection(kKind, "door count does not match the venue");
-  }
-  out->num_doors = n;
-  if (!r.Pod(&out->seg_offsets, 2 * num_doors + 1) ||
-      out->seg_offsets[0] != 0) {
-    return CorruptSection(kKind, "malformed segment offsets");
-  }
-  for (size_t s = 0; s + 1 < out->seg_offsets.size(); ++s) {
-    if (out->seg_offsets[s] > out->seg_offsets[s + 1]) {
-      return CorruptSection(kKind, "segment offsets not non-decreasing");
-    }
-  }
-  const uint64_t edges = out->seg_offsets[2 * n];
-  if (!r.Pod(&out->seg_partition, 2 * num_doors) ||
-      !r.Pod(&out->neighbor_ids, edges) ||
-      !r.Pod(&out->neighbor_weights, edges) || !r.Exhausted()) {
-    return CorruptSection(kKind, "edge pool truncated");
-  }
-  // Adopted verbatim — but verify the invariants the unchecked
-  // relaxation loop relies on, so a checksum-colliding corruption can
-  // never index out of bounds or poison the frontier with NaN.
-  for (size_t d = 0; d < n; ++d) {
-    const Door& door = venue.door(static_cast<DoorId>(d));
-    for (size_t side = 0; side < 2; ++side) {
-      if (out->seg_partition[2 * d + side] != door.partitions[side]) {
-        return CorruptSection(
-            kKind, "segment partition disagrees with door " +
-                       std::to_string(d));
-      }
-    }
-    for (uint32_t k = out->seg_offsets[2 * d]; k < out->seg_offsets[2 * d + 2];
-         ++k) {
-      const uint32_t id = out->neighbor_ids[k];
-      const double weight = out->neighbor_weights[k];
-      if (id >= n || id == d || !std::isfinite(weight) || weight < 0) {
-        return CorruptSection(kKind, "corrupt edge out of door " +
-                                         std::to_string(d));
-      }
-    }
-  }
-  out->RecomputeWeightExtremes();
-  *adj = std::move(out);
-  return Status::Ok();
-}
-
 Status ArtifactCodec::ParseVenue(
     const MetaSection& meta, const std::map<uint32_t, ByteReader>& sections,
     Venue* venue) {
@@ -632,6 +552,11 @@ Status ArtifactCodec::ParseVenue(
           return CorruptSection(kKind, "door references unknown partition");
         }
       }
+      // The adjacency compile turns positions into edge weights, so a
+      // NaN or infinite coordinate would poison the frontier.
+      if (!std::isfinite(d.pos.x) || !std::isfinite(d.pos.y)) {
+        return CorruptSection(kKind, "door position is not finite");
+      }
     }
     if (!r.Exhausted()) return CorruptSection(kKind, "trailing bytes");
   }
@@ -668,67 +593,59 @@ Status ArtifactCodec::ParseVenue(
     if (!r.Pod(&pool, offsets[P]) || !r.Exhausted()) {
       return CorruptSection(kKind, "door pool truncated");
     }
-    for (DoorId d : pool) {
-      if (d < 0 || static_cast<size_t>(d) >= n) {
-        return CorruptSection(kKind, "door id out of range");
-      }
+    // A list of k doors compiles to k(k-1) directed edges; k is clamped
+    // first so the running sum cannot overflow.
+    uint64_t edges = 0;
+    for (size_t p = 0; p < P && edges <= kMaxAdjacencyEdges; ++p) {
+      const uint64_t k =
+          std::min<uint64_t>(offsets[p + 1] - offsets[p], kMaxAdjacencyEdges);
+      if (k > 1) edges += k * (k - 1);
     }
+    if (edges > kMaxAdjacencyEdges) {
+      return CorruptSection(kKind, "door lists imply more than " +
+                                       std::to_string(kMaxAdjacencyEdges) +
+                                       " adjacency edges");
+    }
+    // The adjacency compile walks these lists, so they must be exactly
+    // what Builder::Build derives from the doors: each list strictly
+    // ascending, naming only doors on that partition's boundary, and
+    // every door listed under both of its partitions (bit `side` of
+    // listed[d] records the list of door d's partitions[side]).
+    std::vector<uint8_t> listed(n, 0);
     venue->doors_of_.resize(P);
     for (size_t p = 0; p < P; ++p) {
-      venue->doors_of_[p].assign(
-          pool.begin() + static_cast<size_t>(offsets[p]),
-          pool.begin() + static_cast<size_t>(offsets[p + 1]));
-    }
-  }
-
-  {
-    constexpr uint32_t kKind =
-        static_cast<uint32_t>(ArtifactSection::kDistanceMatrices);
-    ByteReader r = reader(ArtifactSection::kDistanceMatrices);
-    struct Record {
-      uint64_t num_doors;
-      int32_t base_id;
-      uint32_t li_len;
-    };
-    std::vector<Record> records(P);
-    for (Record& rec : records) {
-      if (!r.U64(&rec.num_doors) || !r.I32(&rec.base_id) ||
-          !r.U32(&rec.li_len) || rec.num_doors > n) {
-        return CorruptSection(kKind, "malformed matrix record");
-      }
-    }
-    venue->distance_matrices_.resize(P);
-    for (size_t p = 0; p < P; ++p) {
-      DistanceMatrix& dm = venue->distance_matrices_[p];
-      dm.num_doors_ = static_cast<size_t>(records[p].num_doors);
-      dm.base_id_ = records[p].base_id;
-      if (!r.Pod(&dm.local_index_, records[p].li_len)) {
-        return CorruptSection(kKind, "local-index pool truncated");
-      }
-    }
-    for (size_t p = 0; p < P; ++p) {
-      DistanceMatrix& dm = venue->distance_matrices_[p];
-      if (!r.Pod(&dm.matrix_, static_cast<uint64_t>(dm.num_doors_) *
-                                  dm.num_doors_)) {
-        return CorruptSection(kKind, "matrix pool truncated");
-      }
-    }
-    if (!r.Exhausted()) return CorruptSection(kKind, "trailing bytes");
-    // DistanceUnchecked performs no bounds checks at query time, so
-    // verify here that every door on a partition's boundary resolves to
-    // a valid local index in that partition's matrix.
-    for (size_t p = 0; p < P; ++p) {
-      const DistanceMatrix& dm = venue->distance_matrices_[p];
-      for (DoorId d : venue->doors_of_[p]) {
-        const int64_t li = static_cast<int64_t>(d) - dm.base_id_;
-        if (li < 0 || static_cast<size_t>(li) >= dm.local_index_.size() ||
-            dm.local_index_[static_cast<size_t>(li)] < 0 ||
-            static_cast<size_t>(dm.local_index_[static_cast<size_t>(li)]) >=
-                dm.num_doors_) {
-          return CorruptSection(
-              kKind, "partition " + std::to_string(p) +
-                         " matrix does not cover its boundary doors");
+      const size_t begin = static_cast<size_t>(offsets[p]);
+      const size_t end = static_cast<size_t>(offsets[p + 1]);
+      for (size_t i = begin; i < end; ++i) {
+        const DoorId d = pool[i];
+        if (d < 0 || static_cast<size_t>(d) >= n) {
+          return CorruptSection(kKind, "door id out of range");
         }
+        if (i > begin && pool[i - 1] >= d) {
+          return CorruptSection(kKind, "partition " + std::to_string(p) +
+                                           " door list is not strictly "
+                                           "ascending");
+        }
+        const auto& sides = venue->doors_[static_cast<size_t>(d)].partitions;
+        if (sides[0] != static_cast<PartitionId>(p) &&
+            sides[1] != static_cast<PartitionId>(p)) {
+          return CorruptSection(kKind, "partition " + std::to_string(p) +
+                                           " lists door " + std::to_string(d) +
+                                           " that does not border it");
+        }
+        listed[static_cast<size_t>(d)] |=
+            sides[0] == static_cast<PartitionId>(p) ? 1 : 2;
+      }
+      venue->doors_of_[p].assign(pool.begin() + begin, pool.begin() + end);
+    }
+    for (size_t d = 0; d < n; ++d) {
+      if (listed[d] != 3) {
+        const auto& sides = venue->doors_[d].partitions;
+        const PartitionId missing = (listed[d] & 1) ? sides[1] : sides[0];
+        return CorruptSection(kKind, "door " + std::to_string(d) +
+                                         " is missing from partition " +
+                                         std::to_string(missing) +
+                                         "'s door list");
       }
     }
   }
@@ -807,9 +724,8 @@ StatusOr<LoadedVenueWorld> ArtifactCodec::Decode(const uint8_t* data,
   for (ArtifactSection kind :
        {ArtifactSection::kMeta, ArtifactSection::kPartitions,
         ArtifactSection::kDoors, ArtifactSection::kDoorAtis,
-        ArtifactSection::kDoorsOf, ArtifactSection::kDistanceMatrices,
-        ArtifactSection::kFloorIndex, ArtifactSection::kCompiledAtis,
-        ArtifactSection::kAdjacencyCsr, ArtifactSection::kCheckpoints,
+        ArtifactSection::kDoorsOf, ArtifactSection::kFloorIndex,
+        ArtifactSection::kCompiledAtis, ArtifactSection::kCheckpoints,
         ArtifactSection::kFlipIndex}) {
     Status s = require(kind);
     if (!s.ok()) return s;
@@ -836,13 +752,6 @@ StatusOr<LoadedVenueWorld> ArtifactCodec::Decode(const uint8_t* data,
     ByteReader r =
         sections.at(static_cast<uint32_t>(ArtifactSection::kCompiledAtis));
     Status s = ParseCompiledAtis(r, n, &world.atis);
-    if (!s.ok()) return s;
-  }
-
-  {
-    ByteReader r =
-        sections.at(static_cast<uint32_t>(ArtifactSection::kAdjacencyCsr));
-    Status s = ParseAdjacencyCsr(r, *world.venue, &world.adjacency);
     if (!s.ok()) return s;
   }
 
@@ -943,18 +852,19 @@ StatusOr<std::shared_ptr<const VersionedGraph>> ArtifactCodec::BuildWorld(
   version->registry_ = registry;
   version->venue_ = std::move(world.venue);
 
-  // Adopt the compiled graph verbatim — the decode path already
+  // Adopt the compiled AtiSets verbatim — the decode path already
   // verified the normalisation invariant, so no AtiSet::Create here.
-  // The adjacency rides along from a v2 artifact; a hand-assembled
-  // world without one pays the compile here instead.
+  // The adjacency is compiled from the venue's door positions and door
+  // lists, so it agrees with the geometry by construction.
   ItGraph graph(*version->venue_);
   graph.atis_ = std::move(world.atis);
-  if (world.adjacency != nullptr &&
-      world.adjacency->num_doors == version->venue_->NumDoors()) {
-    graph.adj_ = std::move(world.adjacency);
-  } else {
-    graph.adj_ = std::make_shared<const CsrAdjacency>(
-        CsrAdjacency::Compile(*version->venue_));
+  graph.adj_ = std::make_shared<const CsrAdjacency>(
+      CsrAdjacency::Compile(*version->venue_));
+  // Decode admits only finite positions, but two far-apart finite ones
+  // can still overflow the distance; the searches need finite weights.
+  if (!std::isfinite(graph.adj_->max_edge_weight)) {
+    return InvalidArgumentError(
+        "BuildWorldFromArtifact: door positions overflow an edge weight");
   }
   graph.CompileAtiRows();
   version->graph_ = std::make_unique<ItGraph>(std::move(graph));

@@ -23,11 +23,11 @@ CsrAdjacency CsrAdjacency::Compile(const Venue& venue) {
   adj.seg_offsets.push_back(0);
   for (size_t d = 0; d < n; ++d) {
     const DoorId door = static_cast<DoorId>(d);
+    const Point2d& from = venue.door(door).pos;
     for (PartitionId p : venue.door(door).partitions) {
-      const DistanceMatrix& dm = venue.distance_matrix(p);
       for (DoorId v : venue.DoorsOf(p)) {
         if (v == door) continue;
-        const double w = dm.DistanceUnchecked(door, v);
+        const double w = EuclideanDistance(from, venue.door(v).pos);
         adj.neighbor_ids.push_back(static_cast<uint32_t>(v));
         adj.neighbor_weights.push_back(w);
         if (w < adj.min_edge_weight) adj.min_edge_weight = w;

@@ -1,17 +1,21 @@
 // The packed-artifact subsystem (artifact/): header + section-table
 // validation on hostile files (truncation, bit flips, wrong magic,
-// future format versions — each a precise Status, never UB), and the
-// round-trip property: a venue world rebuilt from its `.itspq` bytes
-// answers a randomized workload bit-identically to the in-process
-// build, for every registered strategy, midnight-wrap ATIs included.
+// older or newer format versions — each a precise Status, never UB),
+// structural validation of the geometry the adjacency compile reads
+// (behind faithfully recomputed checksums), and the round-trip
+// property: a venue world rebuilt from its `.itspq` bytes answers a
+// randomized workload bit-identically to the in-process build, for
+// every registered strategy, midnight-wrap ATIs included.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,9 +24,12 @@
 #include "artifact/format.h"
 #include "common/time.h"
 #include "gen/workload_gen.h"
+#include "itgraph/csr_adjacency.h"
+#include "itgraph/itgraph.h"
 #include "query/registry.h"
 #include "query/sharded_router.h"
 #include "query/venue_catalog.h"
+#include "update/versioned_graph.h"
 #include "venue/venue.h"
 
 namespace itspq {
@@ -175,95 +182,296 @@ TEST(ArtifactNegativeTest, FutureFormatVersionRejected) {
 TEST(ArtifactNegativeTest, OldFormatVersionRejected) {
   const std::string dir = TestDir("oldversion");
   std::vector<uint8_t> image = EncodeSmallVenue();
-  // A pre-AdjacencyCsr (v1) file: the layout genuinely differs, so the
-  // reader must refuse it outright instead of guessing at sections.
+  // A v2 file still carries the DistanceMatrices and AdjacencyCsr
+  // sections: the layout genuinely differs, so the reader must refuse
+  // it outright instead of guessing at sections.
   const uint32_t old_version = kArtifactFormatVersion - 1;
   std::memcpy(image.data() + 8, &old_version, sizeof(old_version));
   WriteBytes(dir + "/a.itspq", image);
   ExpectRegistrationRejected(
       dir + "/a.itspq", StatusCode::kFailedPrecondition,
-      "unsupported artifact format version " + std::to_string(old_version) +
-          " (supported: " + std::to_string(kArtifactFormatVersion) + ")");
+      "artifact format version " + std::to_string(old_version) +
+          " is older than this build supports (" +
+          std::to_string(kArtifactFormatVersion) + "); rebuild the artifact");
 }
 
-// Structural validation behind the checksums: an AdjacencyCsr payload
-// whose bytes are corrupt but whose section and table checksums have
-// been faithfully recomputed (a hostile writer, not random bit rot)
-// must still be rejected before the unchecked relaxation loop can
-// index out of bounds.
-TEST(ArtifactNegativeTest, CorruptAdjacencyEdgeRejectedByValidation) {
-  const std::string dir = TestDir("adjcorrupt");
-  std::vector<uint8_t> image = EncodeSmallVenue();
-
+// Swaps one section's payload for `payload` and re-lays the image out
+// with faithfully recomputed offsets and checksums — a hostile writer,
+// not random bit rot — so only the structural validator stands between
+// the bytes and the adjacency compile.
+std::vector<uint8_t> ReplaceSection(const std::vector<uint8_t>& image,
+                                    ArtifactSection kind,
+                                    const std::vector<uint8_t>& payload) {
   ArtifactHeader header;
   std::memcpy(&header, image.data(), sizeof(header));
   std::vector<ArtifactSectionEntry> table(header.section_count);
   std::memcpy(table.data(), image.data() + sizeof(header),
               table.size() * sizeof(table[0]));
-  ArtifactSectionEntry* adj_entry = nullptr;
-  for (ArtifactSectionEntry& e : table) {
-    if (e.kind == static_cast<uint32_t>(ArtifactSection::kAdjacencyCsr)) {
-      adj_entry = &e;
+  std::vector<std::vector<uint8_t>> payloads;
+  for (const ArtifactSectionEntry& e : table) {
+    if (e.kind == static_cast<uint32_t>(kind)) {
+      payloads.push_back(payload);
+    } else {
+      const auto begin = image.begin() + static_cast<long>(e.offset);
+      payloads.emplace_back(begin, begin + static_cast<long>(e.bytes));
     }
   }
-  ASSERT_NE(adj_entry, nullptr) << "v2 artifact must carry AdjacencyCsr";
-
-  // Payload layout: u64 num_doors | u32 seg_offsets[2n+1] |
-  // i32 seg_partition[2n] | u32 neighbor_ids[E] | f64 weights[E].
-  uint8_t* payload = image.data() + adj_entry->offset;
-  uint64_t num_doors;
-  std::memcpy(&num_doors, payload, sizeof(num_doors));
-  ASSERT_GT(num_doors, 0u);
-  const size_t ids_at =
-      8 + (2 * num_doors + 1) * sizeof(uint32_t) +
-      2 * num_doors * sizeof(int32_t);
-  ASSERT_LT(ids_at + sizeof(uint32_t), adj_entry->bytes);
-  const uint32_t bogus = 0xFFFFFFFFu;  // id far outside [0, num_doors)
-  std::memcpy(payload + ids_at, &bogus, sizeof(bogus));
-
-  // Recompute the section checksum and the table checksum over it, so
-  // only the structural validator stands between the bytes and UB.
-  adj_entry->checksum = ArtifactChecksum(payload, adj_entry->bytes);
+  uint64_t offset = sizeof(header) + table.size() * sizeof(table[0]);
+  for (size_t i = 0; i < table.size(); ++i) {
+    table[i].offset = offset;
+    table[i].bytes = payloads[i].size();
+    table[i].checksum =
+        ArtifactChecksum(payloads[i].data(), payloads[i].size());
+    offset += payloads[i].size();
+  }
+  header.file_bytes = offset;
   header.table_checksum =
       ArtifactChecksum(table.data(), table.size() * sizeof(table[0]));
-  std::memcpy(image.data(), &header, sizeof(header));
-  std::memcpy(image.data() + sizeof(header), table.data(),
+  std::vector<uint8_t> out(sizeof(header) + table.size() * sizeof(table[0]));
+  std::memcpy(out.data(), &header, sizeof(header));
+  std::memcpy(out.data() + sizeof(header), table.data(),
               table.size() * sizeof(table[0]));
+  for (const auto& bytes : payloads) {
+    out.insert(out.end(), bytes.begin(), bytes.end());
+  }
+  return out;
+}
 
+std::vector<uint8_t> SectionPayload(const std::vector<uint8_t>& image,
+                                    ArtifactSection kind) {
+  ArtifactHeader header;
+  std::memcpy(&header, image.data(), sizeof(header));
+  for (uint32_t i = 0; i < header.section_count; ++i) {
+    ArtifactSectionEntry e;
+    std::memcpy(&e, image.data() + sizeof(header) + i * sizeof(e), sizeof(e));
+    if (e.kind == static_cast<uint32_t>(kind)) {
+      const auto begin = image.begin() + static_cast<long>(e.offset);
+      return std::vector<uint8_t>(begin, begin + static_cast<long>(e.bytes));
+    }
+  }
+  ADD_FAILURE() << "no section of kind " << static_cast<uint32_t>(kind);
+  return {};
+}
+
+// The DoorsOf section as the encoder lays it out: P+1 u64 offsets, then
+// the i32 door pool.
+struct DoorLists {
+  std::vector<std::vector<DoorId>> lists;
+
+  explicit DoorLists(const std::vector<uint8_t>& payload, size_t partitions) {
+    std::vector<uint64_t> offsets(partitions + 1);
+    std::memcpy(offsets.data(), payload.data(),
+                offsets.size() * sizeof(uint64_t));
+    const uint8_t* pool = payload.data() + offsets.size() * sizeof(uint64_t);
+    lists.resize(partitions);
+    for (size_t p = 0; p < partitions; ++p) {
+      lists[p].resize(static_cast<size_t>(offsets[p + 1] - offsets[p]));
+      std::memcpy(lists[p].data(), pool + offsets[p] * sizeof(DoorId),
+                  lists[p].size() * sizeof(DoorId));
+    }
+  }
+
+  std::vector<uint8_t> Encode() const {
+    std::vector<uint64_t> offsets = {0};
+    for (const auto& list : lists) {
+      offsets.push_back(offsets.back() + list.size());
+    }
+    std::vector<uint8_t> out(offsets.size() * sizeof(uint64_t));
+    std::memcpy(out.data(), offsets.data(), out.size());
+    for (const auto& list : lists) {
+      const auto* bytes = reinterpret_cast<const uint8_t*>(list.data());
+      out.insert(out.end(), bytes, bytes + list.size() * sizeof(DoorId));
+    }
+    return out;
+  }
+};
+
+void ExpectLoadRejected(const std::string& dir,
+                        const std::vector<uint8_t>& image,
+                        const std::string& section,
+                        const std::string& message_fragment) {
   WriteBytes(dir + "/a.itspq", image);
   auto loaded = LoadVenueArtifact(dir + "/a.itspq");
-  ASSERT_FALSE(loaded.ok());
+  ASSERT_FALSE(loaded.ok()) << message_fragment;
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(loaded.status().message().find("AdjacencyCsr"), std::string::npos)
+  EXPECT_NE(loaded.status().message().find("artifact section " + section + ":"),
+            std::string::npos)
       << loaded.status().ToString();
-  EXPECT_NE(loaded.status().message().find("corrupt edge"), std::string::npos)
+  EXPECT_NE(loaded.status().message().find(message_fragment), std::string::npos)
       << loaded.status().ToString();
 }
 
-// The loaded world carries the compiled adjacency verbatim; assembling
-// a world from it must adopt that CSR (with recomputed weight
-// extremes), not recompile it.
-TEST(ArtifactTest, AdjacencyRoundTripsAndIsAdopted) {
-  const std::string dir = TestDir("adjroundtrip");
-  Venue venue = MakeSmallVenue();
+// Door positions feed the adjacency compile directly, so a NaN or
+// infinite coordinate must be rejected before it becomes an edge weight.
+TEST(ArtifactNegativeTest, NonFiniteDoorPositionRejected) {
+  const std::string dir = TestDir("doorpos");
+  const std::vector<uint8_t> image = EncodeSmallVenue();
+  const std::vector<uint8_t> doors =
+      SectionPayload(image, ArtifactSection::kDoors);
+  // Door record: f64 x | f64 y | i32 floor | i32 partitions[2] | u32 pad.
+  constexpr size_t kDoorRecord = 32;
+  ASSERT_GT(doors.size(), 3 * kDoorRecord);
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  for (double bad : bad_values) {
+    for (size_t coordinate = 0; coordinate < 2; ++coordinate) {
+      std::vector<uint8_t> patched = doors;
+      std::memcpy(patched.data() + 2 * kDoorRecord + coordinate * 8, &bad,
+                  sizeof(bad));
+      ExpectLoadRejected(
+          dir, ReplaceSection(image, ArtifactSection::kDoors, patched),
+          "Doors", "door position is not finite");
+    }
+  }
+}
+
+// Finite but far-apart positions still overflow the straight-line
+// distance; the world must not be assembled with an infinite weight.
+TEST(ArtifactNegativeTest, OverflowingDoorDistanceRejectedAtAssembly) {
+  const std::string dir = TestDir("doorfar");
+  const std::vector<uint8_t> image = EncodeSmallVenue();
+  std::vector<uint8_t> doors = SectionPayload(image, ArtifactSection::kDoors);
+  const double far = std::numeric_limits<double>::max();
+  std::memcpy(doors.data(), &far, sizeof(far));  // door 0's x
+  WriteBytes(dir + "/a.itspq",
+             ReplaceSection(image, ArtifactSection::kDoors, doors));
+  auto published = BuildWorldFromArtifact(
+      ValueOrDie(LoadVenueArtifact(dir + "/a.itspq"), "LoadVenueArtifact"),
+      "itg-s");
+  ASSERT_FALSE(published.ok());
+  EXPECT_EQ(published.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(published.status().message().find(
+                "door positions overflow an edge weight"),
+            std::string::npos)
+      << published.status().ToString();
+}
+
+// Every door must sit in the door list of both of its partitions; a
+// list that drops one would silently delete edges from the compiled
+// adjacency.
+TEST(ArtifactNegativeTest, DoorMissingFromPartitionListRejected) {
+  const std::string dir = TestDir("doorsof_missing");
+  const Venue venue = MakeSmallVenue();
+  const std::vector<uint8_t> image =
+      ValueOrDie(EncodeVenueArtifact(venue), "EncodeVenueArtifact");
+  DoorLists doors_of(SectionPayload(image, ArtifactSection::kDoorsOf),
+                     venue.NumPartitions());
+  const DoorId door = 5;
+  const PartitionId side = venue.door(door).partitions[1];
+  auto& list = doors_of.lists[static_cast<size_t>(side)];
+  const auto at = std::find(list.begin(), list.end(), door);
+  ASSERT_NE(at, list.end());
+  list.erase(at);
+  ExpectLoadRejected(
+      dir, ReplaceSection(image, ArtifactSection::kDoorsOf, doors_of.Encode()),
+      "DoorsOf",
+      "door 5 is missing from partition " + std::to_string(side) +
+          "'s door list");
+}
+
+// The compile walks each list once per door: a duplicate entry would
+// emit a duplicate edge, and the encoder only ever writes ascending
+// lists, so both a repeat and an out-of-order pair are rejected.
+TEST(ArtifactNegativeTest, DuplicateOrUnsortedDoorListRejected) {
+  const std::string dir = TestDir("doorsof_order");
+  const Venue venue = MakeSmallVenue();
+  const std::vector<uint8_t> image =
+      ValueOrDie(EncodeVenueArtifact(venue), "EncodeVenueArtifact");
+  const DoorLists original(SectionPayload(image, ArtifactSection::kDoorsOf),
+                           venue.NumPartitions());
+  size_t busy = 0;  // a partition with at least two doors
+  while (original.lists[busy].size() < 2) ++busy;
+  const std::string what = "partition " + std::to_string(busy) +
+                           " door list is not strictly ascending";
+
+  DoorLists duplicated = original;
+  duplicated.lists[busy].insert(duplicated.lists[busy].begin(),
+                                duplicated.lists[busy][0]);
+  ExpectLoadRejected(dir,
+                     ReplaceSection(image, ArtifactSection::kDoorsOf,
+                                    duplicated.Encode()),
+                     "DoorsOf", what);
+
+  DoorLists unsorted = original;
+  std::swap(unsorted.lists[busy][0], unsorted.lists[busy][1]);
+  ExpectLoadRejected(
+      dir, ReplaceSection(image, ArtifactSection::kDoorsOf, unsorted.Encode()),
+      "DoorsOf", what);
+}
+
+// The compile expands each door list quadratically, so a small file
+// could otherwise demand an enormous adjacency: 6000 doors shared by
+// two partitions (a 190 KB Doors section) imply 72M directed edges,
+// past the cap, and must be refused before anything is allocated.
+TEST(ArtifactNegativeTest, OversizedAdjacencyRejected) {
+  const std::string dir = TestDir("adjcap");
+  const Venue venue = MakeSmallVenue();
+  std::vector<uint8_t> image =
+      ValueOrDie(EncodeVenueArtifact(venue), "EncodeVenueArtifact");
+  const uint64_t partitions = venue.NumPartitions();
+  const uint64_t doors = 6000;
+
+  // Meta: u64 partitions | u64 doors | u64 flags | u64 label length.
+  std::vector<uint8_t> meta(4 * sizeof(uint64_t), 0);
+  std::memcpy(meta.data(), &partitions, sizeof(partitions));
+  std::memcpy(meta.data() + 8, &doors, sizeof(doors));
+  image = ReplaceSection(image, ArtifactSection::kMeta, meta);
+
+  // Every door connects partitions 0 and 1 at a distinct position.
+  std::vector<uint8_t> door_records;
+  for (uint64_t d = 0; d < doors; ++d) {
+    uint8_t record[32] = {};
+    const double x = static_cast<double>(d);
+    const int32_t sides[2] = {0, 1};
+    std::memcpy(record, &x, sizeof(x));
+    std::memcpy(record + 20, sides, sizeof(sides));
+    door_records.insert(door_records.end(), record, record + sizeof(record));
+  }
+  image = ReplaceSection(image, ArtifactSection::kDoors, door_records);
+
+  // DoorAtis: u64 offset count | n+1 zero offsets (always open).
+  std::vector<uint8_t> atis((doors + 2) * sizeof(uint64_t), 0);
+  const uint64_t offset_count = doors + 1;
+  std::memcpy(atis.data(), &offset_count, sizeof(offset_count));
+  image = ReplaceSection(image, ArtifactSection::kDoorAtis, atis);
+
+  DoorLists doors_of(SectionPayload(image, ArtifactSection::kDoorsOf),
+                     venue.NumPartitions());
+  for (auto& list : doors_of.lists) list.clear();
+  for (uint64_t d = 0; d < doors; ++d) {
+    doors_of.lists[0].push_back(static_cast<DoorId>(d));
+    doors_of.lists[1].push_back(static_cast<DoorId>(d));
+  }
+  ExpectLoadRejected(
+      dir, ReplaceSection(image, ArtifactSection::kDoorsOf, doors_of.Encode()),
+      "DoorsOf", "door lists imply more than 67108864 adjacency edges");
+}
+
+// The loaded world's adjacency is compiled from the decoded geometry,
+// so it matches the in-process compile of the source venue bit for bit.
+TEST(ArtifactTest, LoadedAdjacencyIsCompiledFromGeometry) {
+  const std::string dir = TestDir("adjcompile");
+  const Venue venue = MakeSmallVenue();
   ASSERT_TRUE(WriteVenueArtifact(dir + "/a.itspq", venue).ok());
-  LoadedVenueWorld world =
-      ValueOrDie(LoadVenueArtifact(dir + "/a.itspq"), "LoadVenueArtifact");
-  ASSERT_NE(world.adjacency, nullptr);
-  EXPECT_EQ(world.adjacency->num_doors, world.venue->NumDoors());
-
-  const CsrAdjacency fresh = CsrAdjacency::Compile(*world.venue);
-  EXPECT_EQ(world.adjacency->seg_offsets, fresh.seg_offsets);
-  EXPECT_EQ(world.adjacency->seg_partition, fresh.seg_partition);
-  EXPECT_EQ(world.adjacency->neighbor_ids, fresh.neighbor_ids);
-  EXPECT_EQ(world.adjacency->neighbor_weights, fresh.neighbor_weights);
-  EXPECT_EQ(world.adjacency->min_edge_weight, fresh.min_edge_weight);
-  EXPECT_EQ(world.adjacency->max_edge_weight, fresh.max_edge_weight);
-
-  const CsrAdjacency* loaded_ptr = world.adjacency.get();
-  auto published = BuildWorldFromArtifact(std::move(world), "itg-s");
+  auto published = BuildWorldFromArtifact(
+      ValueOrDie(LoadVenueArtifact(dir + "/a.itspq"), "LoadVenueArtifact"),
+      "itg-s");
   ASSERT_TRUE(published.ok()) << published.status().ToString();
-  EXPECT_EQ((*published)->graph().adjacency_handle().get(), loaded_ptr);
+
+  const CsrAdjacency& loaded = (*published)->graph().adjacency();
+  const CsrAdjacency fresh = CsrAdjacency::Compile(venue);
+  EXPECT_EQ(loaded.num_doors, venue.NumDoors());
+  EXPECT_EQ(loaded.seg_offsets, fresh.seg_offsets);
+  EXPECT_EQ(loaded.seg_partition, fresh.seg_partition);
+  EXPECT_EQ(loaded.neighbor_ids, fresh.neighbor_ids);
+  ASSERT_EQ(loaded.neighbor_weights.size(), fresh.neighbor_weights.size());
+  EXPECT_EQ(std::memcmp(loaded.neighbor_weights.data(),
+                        fresh.neighbor_weights.data(),
+                        fresh.neighbor_weights.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(loaded.min_edge_weight, fresh.min_edge_weight);
+  EXPECT_EQ(loaded.max_edge_weight, fresh.max_edge_weight);
 }
 
 TEST(ArtifactNegativeTest, UnknownStrategyRejectedAtRegistration) {

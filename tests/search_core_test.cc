@@ -1,14 +1,16 @@
 // The cache-conscious search core's compiled views, pinned to the
-// object-graph sources they replaced: CsrAdjacency vs the venue's
-// DoorsOf/DistanceMatrix walk, flat ATI rows vs AtiSet membership,
-// DoorMask's word-wise scan helpers vs the per-bit loop, generation-
-// stamped scratch reuse vs fresh contexts, and epoch adjacency sharing.
+// object-graph sources they replaced: CsrAdjacency vs a brute-force
+// pairwise DoorsOf/EuclideanDistance walk, flat ATI rows vs AtiSet
+// membership, DoorMask's word-wise scan helpers vs the per-bit loop,
+// generation-stamped scratch reuse vs fresh contexts, and epoch
+// adjacency sharing.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -20,6 +22,7 @@
 #include "gen/ati_gen.h"
 #include "gen/query_gen.h"
 #include "gen/venue_gen.h"
+#include "gen/workload_gen.h"
 #include "itgraph/csr_adjacency.h"
 #include "itgraph/door_mask.h"
 #include "itgraph/itgraph.h"
@@ -87,44 +90,89 @@ CoreWorld MakeWorld(uint64_t seed) {
   return world;
 }
 
-// The CSR is exactly the venue's implicit adjacency, flattened: per
-// door, one segment per partition side, each listing that partition's
-// other doors in DoorsOf order with DistanceMatrix weights.
-TEST(SearchCoreTest, CsrAdjacencyMatchesVenueWalk) {
-  const CoreWorld world = MakeWorld(11);
-  const Venue& venue = *world.venue;
-  const CsrAdjacency& adj = world.graph->adjacency();
+// Brute-force oracle for CsrAdjacency::Compile: per partition, every
+// ordered pair of its doors measured directly with EuclideanDistance
+// (no symmetry shortcut), then each door's two segments are checked
+// against the rows of its two partitions — ids in DoorsOf order, and
+// weights compared bit for bit.
+void ExpectAdjacencyMatchesPairwiseWalk(const Venue& venue,
+                                        const std::string& label) {
+  const CsrAdjacency adj = CsrAdjacency::Compile(venue);
   const size_t n = venue.NumDoors();
-  ASSERT_EQ(adj.num_doors, n);
-  ASSERT_EQ(adj.seg_offsets.size(), 2 * n + 1);
-  ASSERT_EQ(adj.seg_partition.size(), 2 * n);
+  ASSERT_EQ(adj.num_doors, n) << label;
+  ASSERT_EQ(adj.seg_offsets.size(), 2 * n + 1) << label;
+  ASSERT_EQ(adj.seg_partition.size(), 2 * n) << label;
+
+  // pairwise[p][i * k + j]: door i to door j of partition p's k doors.
+  std::vector<std::vector<double>> pairwise(venue.NumPartitions());
+  for (size_t p = 0; p < pairwise.size(); ++p) {
+    const auto& doors = venue.DoorsOf(static_cast<PartitionId>(p));
+    for (DoorId a : doors) {
+      for (DoorId b : doors) {
+        pairwise[p].push_back(
+            EuclideanDistance(venue.door(a).pos, venue.door(b).pos));
+      }
+    }
+  }
 
   double min_w = std::numeric_limits<double>::infinity();
   double max_w = 0;
   for (size_t d = 0; d < n; ++d) {
     const DoorId door = static_cast<DoorId>(d);
-    const auto& partitions = venue.door(door).partitions;
     for (size_t side = 0; side < 2; ++side) {
       const size_t seg = 2 * d + side;
-      const PartitionId p = partitions[side];
-      EXPECT_EQ(adj.seg_partition[seg], p);
-      const DistanceMatrix& dm = venue.distance_matrix(p);
-      uint32_t k = adj.seg_offsets[seg];
-      for (DoorId v : venue.DoorsOf(p)) {
-        if (v == door) continue;
-        ASSERT_LT(k, adj.seg_offsets[seg + 1]);
-        EXPECT_EQ(adj.neighbor_ids[k], static_cast<uint32_t>(v));
-        const double w = dm.DistanceUnchecked(door, v);
-        EXPECT_EQ(adj.neighbor_weights[k], w);
-        min_w = std::min(min_w, w);
-        max_w = std::max(max_w, w);
-        ++k;
+      const PartitionId p = venue.door(door).partitions[side];
+      ASSERT_EQ(adj.seg_partition[seg], p) << label << " door " << d;
+      const auto& doors = venue.DoorsOf(p);
+      const size_t row = static_cast<size_t>(
+          std::find(doors.begin(), doors.end(), door) - doors.begin());
+      ASSERT_LT(row, doors.size()) << label << " door " << d;
+      std::vector<uint32_t> ids;
+      std::vector<double> weights;
+      for (size_t j = 0; j < doors.size(); ++j) {
+        if (j == row) continue;
+        ids.push_back(static_cast<uint32_t>(doors[j]));
+        weights.push_back(
+            pairwise[static_cast<size_t>(p)][row * doors.size() + j]);
+        min_w = std::min(min_w, weights.back());
+        max_w = std::max(max_w, weights.back());
       }
-      EXPECT_EQ(k, adj.seg_offsets[seg + 1]);
+      const uint32_t begin = adj.seg_offsets[seg];
+      ASSERT_EQ(adj.seg_offsets[seg + 1] - begin, ids.size())
+          << label << " door " << d << " side " << side;
+      EXPECT_TRUE(std::equal(ids.begin(), ids.end(),
+                             adj.neighbor_ids.begin() + begin))
+          << label << " door " << d << " side " << side;
+      if (!weights.empty()) {  // memcmp needs non-null pointers
+        EXPECT_EQ(std::memcmp(weights.data(),
+                              adj.neighbor_weights.data() + begin,
+                              weights.size() * sizeof(double)),
+                  0)
+            << label << " door " << d << " side " << side;
+      }
     }
   }
-  EXPECT_EQ(adj.min_edge_weight, min_w);
-  EXPECT_EQ(adj.max_edge_weight, max_w);
+  EXPECT_EQ(adj.min_edge_weight, min_w) << label;
+  EXPECT_EQ(adj.max_edge_weight, max_w) << label;
+}
+
+// The CSR is exactly the venue's implicit adjacency, flattened: per
+// door, one segment per partition side, each listing that partition's
+// other doors in DoorsOf order at their straight-line distance. Checked
+// on the paper's 5-floor mall and a generated fleet.
+TEST(SearchCoreTest, CsrAdjacencyMatchesVenueWalk) {
+  ExpectAdjacencyMatchesPairwiseWalk(
+      ValueOrDie(GenerateMall(MallConfig::Paper()), "GenerateMall"),
+      "paper mall");
+  FleetConfig fleet_config;
+  fleet_config.num_venues = 4;
+  fleet_config.seed = 17;
+  const std::vector<Venue> fleet =
+      ValueOrDie(GenerateVenueFleet(fleet_config), "GenerateVenueFleet");
+  for (size_t i = 0; i < fleet.size(); ++i) {
+    ExpectAdjacencyMatchesPairwiseWalk(fleet[i],
+                                       "fleet venue " + std::to_string(i));
+  }
 }
 
 // The flat rows answer exactly as the AtiSets they were compiled from,

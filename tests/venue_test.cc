@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "itgraph/csr_adjacency.h"
 #include "venue/venue.h"
 
 namespace itspq {
@@ -76,13 +77,26 @@ TEST(VenueTest, LocateAllOnSharedBoundaryReturnsBoth) {
   EXPECT_EQ(shared[1], 1);
 }
 
-TEST(VenueTest, DistanceMatrixIsEuclideanAndSymmetric) {
+// Door positions + door lists are the only source of door-to-door
+// distances: the compiled adjacency links the hall's two doors both
+// ways at their straight-line distance, and a one-door room adds no
+// edge.
+TEST(VenueTest, DoorDistancesAreEuclideanAndSymmetric) {
   const Venue venue = MakeTinyVenue();
-  const DistanceMatrix& dm = venue.distance_matrix(2);  // hall, 2 doors
-  ASSERT_EQ(dm.NumDoors(), 2u);
-  EXPECT_DOUBLE_EQ(dm.DistanceUnchecked(0, 1), 10.0);
-  EXPECT_DOUBLE_EQ(dm.DistanceUnchecked(1, 0), 10.0);
-  EXPECT_DOUBLE_EQ(dm.DistanceUnchecked(0, 0), 0.0);
+  const CsrAdjacency adj = CsrAdjacency::Compile(venue);
+  // Door d owns segments 2d (partitions[0], its room) and 2d+1 (hall).
+  for (DoorId d = 0; d < 2; ++d) {
+    const size_t room = 2 * static_cast<size_t>(d);
+    EXPECT_EQ(adj.seg_offsets[room], adj.seg_offsets[room + 1]);
+    const size_t hall = room + 1;
+    ASSERT_EQ(adj.seg_offsets[hall + 1] - adj.seg_offsets[hall], 1u);
+    EXPECT_EQ(adj.seg_partition[hall], 2);
+    EXPECT_EQ(adj.neighbor_ids[adj.seg_offsets[hall]],
+              static_cast<uint32_t>(1 - d));
+    EXPECT_EQ(adj.neighbor_weights[adj.seg_offsets[hall]], 10.0);
+  }
+  EXPECT_EQ(adj.min_edge_weight, 10.0);
+  EXPECT_EQ(adj.max_edge_weight, 10.0);
 }
 
 TEST(VenueBuilderTest, SetDoorAtiValidatesDoorId) {
@@ -101,8 +115,13 @@ TEST(VenueBuilderTest, FromVenueRoundTrips) {
   ASSERT_TRUE(copy.ok());
   EXPECT_EQ(copy->NumPartitions(), original.NumPartitions());
   EXPECT_EQ(copy->NumDoors(), original.NumDoors());
-  EXPECT_DOUBLE_EQ(copy->distance_matrix(2).DistanceUnchecked(0, 1),
-                   original.distance_matrix(2).DistanceUnchecked(0, 1));
+  for (DoorId d = 0; d < 2; ++d) {
+    EXPECT_EQ(copy->door(d).pos.x, original.door(d).pos.x);
+    EXPECT_EQ(copy->door(d).pos.y, original.door(d).pos.y);
+  }
+  for (PartitionId p = 0; p < 3; ++p) {
+    EXPECT_EQ(copy->DoorsOf(p), original.DoorsOf(p));
+  }
 }
 
 }  // namespace
