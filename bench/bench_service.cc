@@ -8,9 +8,10 @@
 //
 // Columns per load point: offered q/s, submitted/served/rejected/timed
 // out, achieved kq/s, and p50/p99 submit-to-delivery latency from the
-// service's fixed-bucket histogram. Ends with the ServiceStats detail
-// of the heaviest point (queue high-water, batch-size histogram,
-// catalog cache totals).
+// service's log-linear histogram. Ends with the ServiceStats detail
+// of the heaviest point (queue high-water, batch-size histogram, the
+// share dispatched inline on the submitting thread, catalog cache
+// totals).
 //
 // Latency numbers are scheduling-sensitive: on a 1-core host the
 // submitter and the workers time-share, so p99 reflects contention, not
@@ -128,6 +129,14 @@ void PrintServiceDetail(const ServiceStats& stats) {
     coalesced += b * stats.batch_size_counts[b];
   }
   std::printf("  (%zu dispatched)\n", coalesced);
+  // Interactive arrivals at an empty queue with a free route slot run
+  // on the submitting thread; the rest went through the workers.
+  std::printf("dispatched inline: %zu of %zu served (%.1f%%)\n",
+              stats.dispatched_inline, stats.served,
+              stats.served == 0 ? 0.0
+                                : 100.0 * static_cast<double>(
+                                              stats.dispatched_inline) /
+                                      static_cast<double>(stats.served));
   std::printf("latency p50 %.0f us, p99 %.0f us over %zu served\n",
               stats.latency.P50(), stats.latency.P99(), stats.latency.total);
   std::printf("catalog: %zu queries, %zu cache hits / %zu misses / "

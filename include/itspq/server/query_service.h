@@ -8,9 +8,19 @@
 // admission queue drained by worker threads. A worker that pops a
 // request also takes whatever is already queued behind it (in class
 // order, up to `max_batch` in all) and dispatches the lot at once as
-// one RouteBatch call — it never waits for stragglers, so an idle
-// service answers a lone request immediately and batches form only
-// under backlog. Per-request deadlines are re-checked before and after
+// one RouteBatch call — it never waits for stragglers, so batches form
+// only under backlog. At most `num_workers` routes run at once: each
+// dispatch holds one of that many route slots, and each slot owns the
+// QueryContext its routes reuse.
+//
+// Run to completion: an admitted kInteractive request that finds every
+// class queue empty, the service neither paused nor shutting down, and
+// a route slot free does not queue at all. Submit() dispatches it on
+// the calling thread, as a batch of one through the same deadline
+// gates and accounting, and returns an already-ready future — an idle
+// service answers without a worker wake-up or a thread handoff. Batch
+// and background requests, and anything arriving at a backlog, queue
+// as usual. Per-request deadlines are re-checked before and after
 // dispatch. Admission control is explicit:
 //
 //   queue full            -> kResourceExhausted  (backpressure)
@@ -56,10 +66,17 @@
 //   ServiceStats report = (*service)->Stats();       // any time
 //   (*service)->Shutdown();                          // drains in-flight
 //
-// Submit() is thread-safe and non-blocking: every call returns a
-// future that is eventually fulfilled, rejections included. Shutdown()
-// (also run by the destructor) stops admission, serves everything
-// already admitted whose deadline still allows, and joins the workers.
+// Submit() is thread-safe and never waits for queued work: every call
+// returns a future that is eventually fulfilled, rejections included.
+// It blocks only while it routes its own request on the run-to-
+// completion path above — one route, a few µs on this system's venues.
+// The trade-off: a single caller pipelining interactive requests into
+// an idle service (one NetServer connection, say) routes them one at a
+// time on its own thread instead of spreading them over the workers;
+// as soon as a backlog forms, arrivals queue and the workers share
+// them. Shutdown() (also run by the destructor) stops admission, serves
+// everything already admitted whose deadline still allows, waits for
+// routes running on callers' threads, and joins the workers.
 //
 // The service is also the write plane's front door: SubmitUpdate()
 // feeds online ATI mutations through a bounded queue drained by one
@@ -119,8 +136,10 @@ struct ServiceOptions {
   /// Admission queue bound; submits beyond it bounce with
   /// kResourceExhausted instead of growing memory without limit.
   size_t queue_capacity = 1024;
-  /// Worker threads draining the queue. Each worker owns one
-  /// QueryContext for its whole lifetime.
+  /// Worker threads draining the queue, and the number of routes that
+  /// may run at once (workers plus Submit() callers routing their own
+  /// interactive request). Each of the num_workers route slots owns one
+  /// QueryContext for the service's lifetime.
   int num_workers = 2;
   /// Micro-batching bound: a worker dispatches the request it popped
   /// plus whatever is already queued, up to `max_batch` requests in one
@@ -193,6 +212,9 @@ struct ServiceStats {
   /// Delivered a router answer (OK-found, OK-not-found, or a
   /// per-request router error).
   size_t served = 0;
+  /// Of `served`: routed on the submitting thread (the run-to-completion
+  /// path for interactive requests arriving at an idle service).
+  size_t dispatched_inline = 0;
   size_t served_found = 0;
   size_t route_errors = 0;
 
@@ -265,9 +287,10 @@ class QueryService {
   /// never enqueued); NaN or negative is malformed (immediate
   /// kInvalidArgument — NaN must never be admitted, since every
   /// comparison against it would read "no deadline"); +infinity
-  /// disables the deadline regardless of the default. Thread-safe,
-  /// non-blocking; rejections are delivered through the returned
-  /// future.
+  /// disables the deadline regardless of the default. Thread-safe;
+  /// rejections are delivered through the returned future, and an
+  /// interactive request arriving at an idle service is routed before
+  /// this returns (see the file comment).
   std::future<StatusOr<QueryResult>> Submit(const QueryRequest& request,
                                             double deadline_micros);
 
@@ -300,7 +323,8 @@ class QueryService {
 
   /// Stops admission, serves every already-admitted request whose
   /// deadline still allows (rejecting the rest with kDeadlineExceeded),
-  /// applies every already-admitted update, and joins the workers plus
+  /// applies every already-admitted update, waits for routes already
+  /// running on Submit() callers' threads, and joins the workers plus
   /// the updater. Idempotent; concurrent callers block until the drain
   /// completes.
   void Shutdown();
@@ -338,9 +362,20 @@ class QueryService {
   QueryService(VenueCatalog catalog, ServiceOptions options);
 
   void WorkerLoop();
-  /// Deadline-checks and dispatches one coalesced batch, fulfilling
-  /// every promise in it.
-  void Dispatch(std::vector<Pending>* batch, QueryContext* context);
+  /// One of the num_workers concurrent-route permits. Whoever holds it
+  /// (a worker or an inline Submit caller) routes with its context.
+  struct RouteSlot {
+    QueryContext context;
+    std::vector<Pending> batch;
+  };
+
+  /// Deadline-checks and dispatches `slot`'s coalesced batch, fulfilling
+  /// every promise in it and leaving the batch empty. Returns how many
+  /// requests were served.
+  size_t Dispatch(RouteSlot* slot);
+  /// Returns an inline caller's slot; wakes a worker when work queued
+  /// up meanwhile, and Shutdown when it is waiting for inline routes.
+  void ReleaseInlineSlot(RouteSlot* slot);
   /// The dedicated writer: drains the update queue FIFO, one
   /// ApplyAtiUpdate at a time.
   void UpdaterLoop();
@@ -365,6 +400,10 @@ class QueryService {
   bool paused_;                 // guarded by mu_
   bool draining_ = false;       // guarded by mu_
   size_t queue_high_water_ = 0;  // guarded by mu_
+  /// num_workers slots; free_slots_ (capacity num_workers, so push/pop
+  /// never allocate) holds the ones no route is using. Guarded by mu_.
+  std::vector<RouteSlot> slots_;
+  std::vector<RouteSlot*> free_slots_;
   std::once_flag join_once_;
   std::vector<std::thread> workers_;
 
@@ -387,6 +426,7 @@ class QueryService {
   std::atomic<size_t> timed_out_in_queue_{0};
   std::atomic<size_t> timed_out_in_flight_{0};
   std::atomic<size_t> served_{0};
+  std::atomic<size_t> dispatched_inline_{0};
   std::atomic<size_t> served_found_{0};
   std::atomic<size_t> route_errors_{0};
   std::array<std::atomic<size_t>, kNumQosClasses> submitted_by_class_{};
@@ -395,8 +435,8 @@ class QueryService {
   std::array<std::atomic<size_t>, kNumQueryKinds> submitted_by_kind_{};
   std::array<std::atomic<size_t>, kNumQueryKinds> served_by_kind_{};
   /// Observed per-request route time (µs), smoothed over dispatched
-  /// batches. Written by workers, read by admission and Stats; a
-  /// last-writer-wins race between workers is fine for a smoothed
+  /// batches. Written by every dispatch, read by admission and Stats; a
+  /// last-writer-wins race between dispatches is fine for a smoothed
   /// signal.
   std::atomic<double> ewma_route_micros_{0};
   std::atomic<size_t> updates_submitted_{0};

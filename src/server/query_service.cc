@@ -31,7 +31,10 @@ QueryService::QueryService(VenueCatalog catalog, ServiceOptions options)
       router_(catalog_),
       options_(options),
       paused_(options.start_paused),
+      slots_(static_cast<size_t>(options.num_workers)),
       batch_size_counts_(options.max_batch + 1, 0) {
+  free_slots_.reserve(slots_.size());
+  for (RouteSlot& slot : slots_) free_slots_.push_back(&slot);
   workers_.reserve(static_cast<size_t>(options_.num_workers));
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -115,6 +118,7 @@ std::future<StatusOr<QueryResult>> QueryService::Submit(
   Status rejection;
   Pending victim;
   bool have_victim = false;
+  RouteSlot* inline_slot = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (draining_) {
@@ -189,6 +193,14 @@ std::future<StatusOr<QueryResult>> QueryService::Submit(
           rejected_queue_full_.fetch_add(1, kRelaxed);
           rejection = ResourceExhaustedError("submission queue is full");
         }
+      } else if (qos == QosClass::kInteractive && !paused_ &&
+                 TotalQueuedLocked() == 0 && !free_slots_.empty()) {
+        // Run to completion: nothing is waiting ahead of this request
+        // and a route slot is free, so routing it here costs the caller
+        // one route and saves the worker wake-up and the handoff back.
+        inline_slot = free_slots_.back();
+        free_slots_.pop_back();
+        admitted_.fetch_add(1, kRelaxed);
       } else {
         queues_[class_index].push_back(std::move(pending));
         queue_high_water_ = std::max(queue_high_water_, TotalQueuedLocked());
@@ -200,12 +212,39 @@ std::future<StatusOr<QueryResult>> QueryService::Submit(
     victim.promise.set_value(StatusOr<QueryResult>(ResourceExhaustedError(
         "shed: displaced by higher-priority traffic")));
   }
-  if (!rejection.ok()) {
+  if (inline_slot != nullptr) {
+    // Returned even if routing throws: Shutdown waits for every slot.
+    struct SlotReturn {
+      QueryService* service;
+      RouteSlot* slot;
+      ~SlotReturn() { service->ReleaseInlineSlot(slot); }
+    } slot_return{this, inline_slot};
+    inline_slot->batch.push_back(std::move(pending));
+    dispatched_inline_.fetch_add(Dispatch(inline_slot), kRelaxed);
+  } else if (!rejection.ok()) {
     pending.promise.set_value(StatusOr<QueryResult>(std::move(rejection)));
   } else {
     cv_.notify_one();
   }
   return future;
+}
+
+void QueryService::ReleaseInlineSlot(RouteSlot* slot) {
+  bool wake_worker = false;
+  bool draining = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    free_slots_.push_back(slot);
+    wake_worker = TotalQueuedLocked() > 0;
+    draining = draining_;
+  }
+  // While draining, Shutdown may be waiting on cv_ beside the workers
+  // for this very slot, so everyone re-checks.
+  if (draining) {
+    cv_.notify_all();
+  } else if (wake_worker) {
+    cv_.notify_one();
+  }
 }
 
 std::future<Status> QueryService::SubmitUpdate(const AtiUpdate& update) {
@@ -285,47 +324,57 @@ void QueryService::Shutdown() {
   // drain completes, so "Shutdown returned" always means "quiesced".
   // The updater drains its admitted queue before exiting, so every
   // SubmitUpdate future is resolved by the time Shutdown returns.
+  // Workers exit once the queue is empty; routes still running on
+  // Submit() callers' threads hold slots, so waiting for every slot to
+  // come back covers them (draining_ lets no new one start).
   std::call_once(join_once_, [this] {
     for (std::thread& worker : workers_) worker.join();
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] { return free_slots_.size() == slots_.size(); });
+    }
     updater_.join();
   });
 }
 
 void QueryService::WorkerLoop() {
-  // One context for the worker's lifetime: scratch allocations amortise
-  // across every batch this thread ever serves.
-  QueryContext context;
-  std::vector<Pending> batch;
+  // A worker holds a route slot only while it dispatches, so an idle
+  // worker leaves its slot (and the slot's long-lived context) to inline
+  // callers. It returns the slot under the same lock it waits on.
+  RouteSlot* slot = nullptr;
   for (;;) {
-    batch.clear();
     {
       std::unique_lock<std::mutex> lock(mu_);
+      if (slot != nullptr) free_slots_.push_back(slot);
       cv_.wait(lock, [this] {
-        return draining_ || (!paused_ && TotalQueuedLocked() > 0);
+        const bool queued = TotalQueuedLocked() > 0;
+        return (draining_ && !queued) ||
+               (!paused_ && queued && !free_slots_.empty());
       });
       // The predicate only passes with empty queues when draining.
       if (TotalQueuedLocked() == 0) return;
+      slot = free_slots_.back();
+      free_slots_.pop_back();
       // Micro-batching: take whatever is already queued — strictly in
       // class order, so interactive work never waits behind background —
-      // and dispatch at once. Never wait for stragglers: an idle service
-      // serves a lone request immediately, and under backlog batches
-      // form on their own while the workers are busy.
+      // and dispatch at once. Never wait for stragglers: under backlog
+      // batches form on their own while the slots are busy.
       do {
-        batch.push_back(PopHighestLocked());
-      } while (batch.size() < options_.max_batch && TotalQueuedLocked() > 0);
+        slot->batch.push_back(PopHighestLocked());
+      } while (slot->batch.size() < options_.max_batch &&
+               TotalQueuedLocked() > 0);
     }
-    Dispatch(&batch, &context);
+    Dispatch(slot);
   }
 }
 
-void QueryService::Dispatch(std::vector<Pending>* batch,
-                            QueryContext* context) {
+size_t QueryService::Dispatch(RouteSlot* slot) {
   // Deadline gate #1: requests that died waiting never reach the
   // router.
   const Clock::time_point start = Clock::now();
   std::vector<Pending> live;
-  live.reserve(batch->size());
-  for (Pending& pending : *batch) {
+  live.reserve(slot->batch.size());
+  for (Pending& pending : slot->batch) {
     if (start >= pending.deadline) {
       timed_out_in_queue_.fetch_add(1, kRelaxed);
       pending.promise.set_value(StatusOr<QueryResult>(
@@ -334,14 +383,15 @@ void QueryService::Dispatch(std::vector<Pending>* batch,
       live.push_back(std::move(pending));
     }
   }
-  if (live.empty()) return;
+  slot->batch.clear();
+  if (live.empty()) return 0;
 
   std::vector<QueryRequest> requests;
   requests.reserve(live.size());
   for (const Pending& pending : live) requests.push_back(pending.request);
-  // The coalesced call, on this worker's long-lived context.
+  // The coalesced call, on the slot's long-lived context.
   BatchOptions batch_options;
-  batch_options.context = context;
+  batch_options.context = &slot->context;
   std::vector<StatusOr<QueryResult>> results =
       router_.RouteBatch(requests, batch_options);
 
@@ -360,7 +410,7 @@ void QueryService::Dispatch(std::vector<Pending>* batch,
 
   // Deadline gate #2: a client whose deadline passed mid-dispatch has
   // given up — the computed answer is dropped, not delivered late.
-  LatencyHistogram batch_latency;
+  size_t served = 0;
   for (size_t i = 0; i < live.size(); ++i) {
     Pending& pending = live[i];
     if (completed >= pending.deadline) {
@@ -369,6 +419,7 @@ void QueryService::Dispatch(std::vector<Pending>* batch,
           DeadlineExceededError("deadline expired during dispatch")));
       continue;
     }
+    ++served;
     served_.fetch_add(1, kRelaxed);
     served_by_class_[static_cast<size_t>(pending.qos)].fetch_add(1, kRelaxed);
     const size_t kind = static_cast<size_t>(pending.request.kind);
@@ -378,16 +429,19 @@ void QueryService::Dispatch(std::vector<Pending>* batch,
     } else {
       route_errors_.fetch_add(1, kRelaxed);
     }
-    batch_latency.Record(
-        std::chrono::duration<double, std::micro>(completed - pending.submit)
-            .count());
     pending.promise.set_value(std::move(results[i]));
   }
 
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++batches_;
   ++batch_size_counts_[live.size()];
-  latency_.Accumulate(batch_latency);
+  for (const Pending& pending : live) {
+    if (completed >= pending.deadline) continue;  // timed out in flight
+    latency_.Record(
+        std::chrono::duration<double, std::micro>(completed - pending.submit)
+            .count());
+  }
+  return served;
 }
 
 ServiceStats QueryService::Stats() const {
@@ -403,6 +457,7 @@ ServiceStats QueryService::Stats() const {
   stats.timed_out_in_queue = timed_out_in_queue_.load(kRelaxed);
   stats.timed_out_in_flight = timed_out_in_flight_.load(kRelaxed);
   stats.served = served_.load(kRelaxed);
+  stats.dispatched_inline = dispatched_inline_.load(kRelaxed);
   stats.served_found = served_found_.load(kRelaxed);
   stats.route_errors = route_errors_.load(kRelaxed);
   for (size_t c = 0; c < kNumQosClasses; ++c) {

@@ -5,18 +5,24 @@
 // backpressure, pre-expired and in-queue-expired deadlines, graceful
 // drain, and late-submit rejection. start_paused makes the admission
 // tests deterministic: requests queue up while dispatch is held, and
-// Shutdown() performs the drain under test.
+// Shutdown() performs the drain under test. The run-to-completion tests
+// hold routes open on a gated test strategy to pin down the shared cap
+// on concurrent routes and the Shutdown-waits-for-inline rule.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdlib>
 #include <future>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <numeric>
+#include <random>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -25,6 +31,7 @@
 #include "common/time.h"
 #include "gen/query_gen.h"
 #include "gen/workload_gen.h"
+#include "query/registry.h"
 #include "query/router.h"
 #include "query/venue_catalog.h"
 #include "server/query_service.h"
@@ -105,6 +112,99 @@ void ExpectBitIdentical(const QueryResult& served, const QueryResult& direct,
   }
 }
 
+// Parks every route until the test opens it, and records how many
+// routes were parked at once.
+class RouteGate {
+ public:
+  void Enter() {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++running_;
+    max_running_ = std::max(max_running_, running_);
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return open_; });
+  }
+  void Exit() {
+    std::lock_guard<std::mutex> lock(mu_);
+    --running_;
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  /// False if fewer than `n` routes are parked within 10 s.
+  bool WaitForRunning(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return running_ >= n; });
+  }
+  int running() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return running_;
+  }
+  int max_running() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return max_running_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+  int running_ = 0;
+  int max_running_ = 0;
+};
+
+// The "itg-s" strategy behind a RouteGate.
+class GatedRouter : public Router {
+ public:
+  GatedRouter(const ItGraph& graph, std::unique_ptr<Router> inner,
+              RouteGate* gate)
+      : Router("gated", graph), inner_(std::move(inner)), gate_(gate) {}
+
+  StatusOr<QueryResult> Route(const QueryRequest& request,
+                              QueryContext* context) const override {
+    gate_->Enter();
+    StatusOr<QueryResult> result = inner_->Route(request, context);
+    gate_->Exit();
+    return result;
+  }
+
+ private:
+  std::unique_ptr<Router> inner_;
+  RouteGate* gate_;
+};
+
+// A one-venue service whose only shard routes through `gate`. The
+// registry must outlive the service (the catalog keeps it for rebuilds).
+std::unique_ptr<QueryService> MakeGatedService(ServiceOptions options,
+                                               RouteGate* gate,
+                                               RouterRegistry* registry) {
+  auto factory = [gate](const ItGraph& graph,
+                        const RouterBuildOptions& build) {
+    std::unique_ptr<Router> inner = ValueOrDie(
+        RouterRegistry::Global().Create("itg-s", graph, build), "itg-s");
+    return std::unique_ptr<Router>(
+        std::make_unique<GatedRouter>(graph, std::move(inner), gate));
+  };
+  EXPECT_TRUE(registry->Register("gated", factory).ok());
+  FleetConfig config;
+  config.num_venues = 1;
+  config.seed = 7;
+  config.min_floors = 1;
+  config.max_floors = 1;
+  std::vector<Venue> fleet =
+      ValueOrDie(GenerateVenueFleet(config), "GenerateVenueFleet");
+  VenueCatalog catalog;
+  (void)ValueOrDie(catalog.AddVenue(std::move(fleet[0]), "gated", "gated",
+                                    RouterBuildOptions(), registry),
+                   "AddVenue");
+  return ValueOrDie(MakeQueryService(std::move(catalog), options),
+                    "MakeQueryService");
+}
+
 TEST(MakeQueryServiceTest, ValidatesCatalogAndOptions) {
   VenueCatalog empty;
   auto no_venues = MakeQueryService(std::move(empty));
@@ -138,14 +238,19 @@ TEST(MakeQueryServiceTest, ValidatesCatalogAndOptions) {
 }
 
 // The end-to-end replay proof: record a 500-query Zipf workload, serve
-// it through the full frontend (queue, workers, micro-batching), and
-// check every served answer against Router::Route called directly on
-// the owned catalog's shard routers.
-TEST(QueryServiceReplayTest, ServedAnswersBitIdenticalToDirectRoute) {
+// it through the full frontend, and check every served answer against
+// Router::Route called directly on the owned catalog's shard routers.
+// The replay runs twice. Submitted to a paused service and then
+// resumed, it takes the queued path (queue, workers, micro-batching).
+// Submitted one by one to a running service from one thread, every
+// request finds the queue empty and runs to completion on the caller.
+void ReplayAgainstDirectRoute(bool queued_path) {
+  SCOPED_TRACE(queued_path ? "queued path" : "inline path");
   ServiceOptions options;
   options.queue_capacity = 600;  // admit the whole replay, no rejections
   options.num_workers = 3;
   options.max_batch = 16;
+  options.start_paused = queued_path;
   std::unique_ptr<QueryService> service = MakeService(options);
   const std::vector<QueryRequest> requests =
       MakeWorkload(service->catalog(), 500);
@@ -155,6 +260,7 @@ TEST(QueryServiceReplayTest, ServedAnswersBitIdenticalToDirectRoute) {
   for (const QueryRequest& request : requests) {
     futures.push_back(service->Submit(request));
   }
+  if (queued_path) service->Resume();
 
   QueryContext direct_context;
   size_t found = 0;
@@ -181,7 +287,13 @@ TEST(QueryServiceReplayTest, ServedAnswersBitIdenticalToDirectRoute) {
   EXPECT_EQ(stats.rejected_queue_full, 0u);
   EXPECT_EQ(stats.timed_out_in_queue + stats.timed_out_in_flight, 0u);
   EXPECT_EQ(stats.latency.total, stats.served);
-  EXPECT_GT(stats.queue_high_water, 0u);
+  if (queued_path) {
+    EXPECT_GT(stats.queue_high_water, 0u);
+    EXPECT_EQ(stats.dispatched_inline, 0u);
+  } else {
+    EXPECT_EQ(stats.queue_high_water, 0u);
+    EXPECT_EQ(stats.dispatched_inline, stats.served);
+  }
   EXPECT_EQ(stats.queue_depth, 0u);
   // Every dispatched batch lands in the histogram, none above
   // max_batch, and the sizes sum back to the served count. The direct
@@ -195,6 +307,11 @@ TEST(QueryServiceReplayTest, ServedAnswersBitIdenticalToDirectRoute) {
   }
   EXPECT_EQ(dispatched, stats.served);
   EXPECT_EQ(stats.catalog.total_queries, stats.served);
+}
+
+TEST(QueryServiceReplayTest, ServedAnswersBitIdenticalToDirectRoute) {
+  ReplayAgainstDirectRoute(/*queued_path=*/true);
+  ReplayAgainstDirectRoute(/*queued_path=*/false);
 }
 
 // The submit-side concurrency contract: 8 threads hammer Submit on one
@@ -440,6 +557,209 @@ TEST(QueryServiceBatchingTest, IdleServiceDispatchesEachRequestAlone) {
   EXPECT_EQ(stats.batches, requests.size());
   ASSERT_EQ(stats.batch_size_counts.size(), options.max_batch + 1);
   EXPECT_EQ(stats.batch_size_counts[1], requests.size());
+}
+
+// Run to completion: an interactive request submitted to an idle
+// service is routed on the submitting thread, so Submit returns a future
+// that is already ready, holding the same answer as a direct Route.
+TEST(QueryServiceInlineTest, IdleServiceReturnsReadyInteractiveAnswer) {
+  ServiceOptions options;
+  options.num_workers = 2;
+  std::unique_ptr<QueryService> service = MakeService(options);
+  const std::vector<QueryRequest> requests =
+      MakeWorkload(service->catalog(), 24);
+
+  QueryContext direct_context;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    std::future<StatusOr<QueryResult>> future = service->Submit(requests[i]);
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "request " << i;
+    StatusOr<QueryResult> served = future.get();
+    StatusOr<QueryResult> direct =
+        service->catalog()
+            .router(requests[i].venue_id)
+            .Route(requests[i], &direct_context);
+    ASSERT_TRUE(served.ok()) << "request " << i << ": "
+                             << served.status().ToString();
+    ASSERT_TRUE(direct.ok()) << "request " << i;
+    ExpectBitIdentical(*served, *direct, i);
+  }
+  service->Shutdown();
+  const ServiceStats stats = service->Stats();
+  EXPECT_EQ(stats.served, requests.size());
+  EXPECT_EQ(stats.dispatched_inline, requests.size());
+  EXPECT_EQ(stats.batch_size_counts[1], requests.size());
+  EXPECT_EQ(stats.latency.total, requests.size());
+  EXPECT_EQ(stats.queue_high_water, 0u);
+}
+
+// Inline callers and workers share one cap of num_workers concurrent
+// routes. Two callers park inline in the gate and take both slots; the
+// next submits queue, and no worker routes them until a slot frees.
+TEST(QueryServiceInlineTest, InlineCallersAndWorkersShareTheRouteCap) {
+  RouteGate gate;
+  RouterRegistry registry;
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.queue_capacity = 64;
+  std::unique_ptr<QueryService> service =
+      MakeGatedService(options, &gate, &registry);
+  const std::vector<QueryRequest> requests =
+      MakeWorkload(service->catalog(), 6);
+
+  std::vector<std::future<StatusOr<QueryResult>>> inline_answers(2);
+  std::vector<std::thread> callers;
+  for (size_t i = 0; i < 2; ++i) {
+    callers.emplace_back([&, i] {
+      inline_answers[i] = service->Submit(requests[i]);
+    });
+  }
+  ASSERT_TRUE(gate.WaitForRunning(2));
+
+  std::vector<std::future<StatusOr<QueryResult>>> queued;
+  for (size_t i = 2; i < requests.size(); ++i) {
+    queued.push_back(service->Submit(requests[i]));
+    EXPECT_NE(queued.back().wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "request " << i;
+  }
+  // Workers are free but the slots are not: the queue holds.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ServiceStats stats = service->Stats();
+  EXPECT_EQ(stats.queue_depth, queued.size());
+  EXPECT_EQ(gate.running(), 2);
+
+  gate.Open();
+  for (std::thread& caller : callers) caller.join();
+  for (auto& answer : inline_answers) EXPECT_TRUE(answer.get().ok());
+  for (auto& answer : queued) EXPECT_TRUE(answer.get().ok());
+  service->Shutdown();
+
+  stats = service->Stats();
+  EXPECT_LE(gate.max_running(), options.num_workers);
+  EXPECT_EQ(stats.served, requests.size());
+  EXPECT_EQ(stats.dispatched_inline, 2u);
+  EXPECT_EQ(stats.queue_high_water, queued.size());
+}
+
+// Only interactive requests run to completion, and only on a running
+// service: batch and background queue for the workers even when idle,
+// and a paused service queues interactive work too.
+TEST(QueryServiceInlineTest, BatchBackgroundAndPausedNeverRunInline) {
+  constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
+  {
+    ServiceOptions options;
+    options.num_workers = 2;
+    std::unique_ptr<QueryService> service = MakeService(options);
+    const std::vector<QueryRequest> requests =
+        MakeWorkload(service->catalog(), 8);
+    for (size_t i = 0; i < requests.size(); ++i) {
+      const QosClass qos = i % 2 == 0 ? QosClass::kBatch : QosClass::kBackground;
+      EXPECT_TRUE(service->Submit(requests[i], kNoDeadline, qos).get().ok());
+    }
+    service->Shutdown();
+    const ServiceStats stats = service->Stats();
+    EXPECT_EQ(stats.served, requests.size());
+    EXPECT_EQ(stats.dispatched_inline, 0u);
+  }
+  {
+    ServiceOptions options;
+    options.start_paused = true;
+    std::unique_ptr<QueryService> service = MakeService(options);
+    const QueryRequest request = MakeWorkload(service->catalog(), 1)[0];
+    std::future<StatusOr<QueryResult>> future =
+        service->Submit(request, kNoDeadline, QosClass::kInteractive);
+    EXPECT_EQ(service->Stats().queue_depth, 1u);
+    EXPECT_NE(future.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    service->Resume();
+    EXPECT_TRUE(future.get().ok());
+    service->Shutdown();
+    const ServiceStats stats = service->Stats();
+    EXPECT_EQ(stats.served, 1u);
+    EXPECT_EQ(stats.dispatched_inline, 0u);
+  }
+}
+
+// "Shutdown returned" still means quiesced: a Shutdown from another
+// thread waits for a route already running on a Submit caller's thread.
+TEST(QueryServiceInlineTest, ShutdownWaitsForInFlightInlineDispatch) {
+  RouteGate gate;
+  RouterRegistry registry;
+  ServiceOptions options;
+  options.num_workers = 2;
+  std::unique_ptr<QueryService> service =
+      MakeGatedService(options, &gate, &registry);
+  const QueryRequest request = MakeWorkload(service->catalog(), 1)[0];
+
+  std::future<StatusOr<QueryResult>> answer;
+  std::thread caller([&] { answer = service->Submit(request); });
+  ASSERT_TRUE(gate.WaitForRunning(1));
+
+  std::atomic<bool> shutdown_returned{false};
+  std::thread stopper([&] {
+    service->Shutdown();
+    shutdown_returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(shutdown_returned.load());
+
+  gate.Open();
+  stopper.join();
+  caller.join();
+  EXPECT_TRUE(shutdown_returned.load());
+  EXPECT_TRUE(answer.get().ok());
+  const ServiceStats stats = service->Stats();
+  EXPECT_EQ(stats.served, 1u);
+  EXPECT_EQ(stats.dispatched_inline, 1u);
+  EXPECT_EQ(stats.latency.total, 1u);
+}
+
+// Eight threads submit all three classes with mixed deadlines into a
+// small queue, so inline routes, queued batches, displacement, backpressure
+// and timeouts interleave; the ledger must still balance exactly.
+TEST(QueryServiceInlineTest, MixedClassHammerKeepsLedger) {
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.queue_capacity = 8;
+  options.max_batch = 4;
+  std::unique_ptr<QueryService> service = MakeService(options);
+  const std::vector<QueryRequest> requests =
+      MakeWorkload(service->catalog(), 48);
+  const double deadlines[] = {std::numeric_limits<double>::infinity(), 50'000,
+                              200};
+
+  constexpr int kThreads = 8;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<std::future<StatusOr<QueryResult>>> futures;
+      for (size_t i = 0; i < requests.size(); ++i) {
+        const size_t mix = i + static_cast<size_t>(t);
+        futures.push_back(service->Submit(requests[i], deadlines[mix % 3],
+                                          static_cast<QosClass>(mix / 3 % 3)));
+      }
+      for (auto& future : futures) (void)future.get();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  service->Shutdown();
+
+  const ServiceStats stats = service->Stats();
+  const size_t shed = stats.shed_displaced + stats.shed_infeasible;
+  const size_t rejected = stats.rejected_queue_full + stats.rejected_expired +
+                          stats.rejected_invalid + stats.rejected_shutdown;
+  const size_t timed_out = stats.timed_out_in_queue + stats.timed_out_in_flight;
+  EXPECT_EQ(stats.submitted, requests.size() * kThreads);
+  EXPECT_EQ(stats.submitted, stats.served + shed + rejected + timed_out);
+  EXPECT_EQ(stats.latency.total, stats.served);
+  size_t served_by_class = 0;
+  for (size_t served : stats.served_by_class) served_by_class += served;
+  EXPECT_EQ(served_by_class, stats.served);
+  EXPECT_LE(stats.dispatched_inline,
+            stats.served_by_class[static_cast<size_t>(QosClass::kInteractive)]);
+  EXPECT_EQ(stats.queue_depth, 0u);
 }
 
 // Whatever is already queued goes out together: five requests held by
@@ -704,14 +1024,13 @@ TEST(LatencyHistogramTest, RecordsBucketsAndQuantiles) {
   LatencyHistogram histogram;
   EXPECT_EQ(histogram.Quantile(0.5), 0);  // empty
 
-  // 90 one-microsecond samples and 10 at ~1 ms: p50 sits in the low
-  // bucket, p99 in the millisecond bucket.
+  // 90 one-microsecond samples and 10 at 1 ms: p50 reports the upper
+  // edge of [1, 1.125), p99 that of [960, 1024).
   for (int i = 0; i < 90; ++i) histogram.Record(1.0);
   for (int i = 0; i < 10; ++i) histogram.Record(1000.0);
   EXPECT_EQ(histogram.total, 100u);
-  EXPECT_LE(histogram.P50(), 2.0);
-  EXPECT_GE(histogram.P99(), 1000.0);
-  EXPECT_LE(histogram.P99(), 2048.0);
+  EXPECT_EQ(histogram.P50(), 1.125);
+  EXPECT_EQ(histogram.P99(), 1024.0);
   // Quantiles are monotone in q.
   EXPECT_LE(histogram.Quantile(0.1), histogram.Quantile(0.9));
 
@@ -737,8 +1056,57 @@ TEST(LatencyHistogramTest, OverflowBucketClampsInfinity) {
   histogram.Record(std::numeric_limits<double>::infinity());
   EXPECT_EQ(histogram.total, 1u);
   EXPECT_EQ(histogram.counts[LatencyHistogram::kNumBuckets - 1], 1u);
-  EXPECT_EQ(histogram.P99(),
-            std::ldexp(1.0, static_cast<int>(LatencyHistogram::kNumBuckets)));
+  EXPECT_EQ(histogram.P99(), LatencyHistogram::kSaturatedMicros);
+  EXPECT_EQ(LatencyHistogram::kSaturatedMicros, std::ldexp(1.0, 40));
+}
+
+// The log-linear layout: bucket edges rise strictly, every regular
+// bucket's upper edge is the next bucket's first value, and no bucket
+// is wider than 1/8 of its lower edge (1/8 µs below 1 µs).
+TEST(LatencyHistogramTest, LogLinearEdgesTileTheRange) {
+  double lower = 0;
+  for (size_t b = 0; b + 1 < LatencyHistogram::kNumBuckets; ++b) {
+    const double upper = LatencyHistogram::UpperEdge(b);
+    ASSERT_GT(upper, lower) << "bucket " << b;
+    EXPECT_LE(upper - lower, std::max(lower, 1.0) / 8) << "bucket " << b;
+    EXPECT_EQ(LatencyHistogram::BucketOf(lower), b) << "bucket " << b;
+    if (b + 2 < LatencyHistogram::kNumBuckets) {
+      EXPECT_EQ(LatencyHistogram::BucketOf(upper), b + 1) << "bucket " << b;
+    }
+    lower = upper;
+  }
+  EXPECT_EQ(lower, std::ldexp(1.0, LatencyHistogram::kOctaves));
+  EXPECT_EQ(LatencyHistogram::BucketOf(lower),
+            LatencyHistogram::kNumBuckets - 1);
+  EXPECT_EQ(LatencyHistogram::BucketOf(-5.0), 0u);
+}
+
+// On random samples spread over seven decades, every quantile reports
+// a value no lower than the exact order statistic and at most 1/8 above
+// it.
+TEST(LatencyHistogramTest, QuantilesWithinOneEighthOfExactOrderStatistic) {
+  std::mt19937_64 rng(20200420);
+  std::uniform_real_distribution<double> log10_micros(0.0, 7.0);
+  std::vector<double> samples(20000);
+  LatencyHistogram histogram;
+  for (double& sample : samples) {
+    sample = std::pow(10.0, log10_micros(rng));
+    histogram.Record(sample);
+  }
+  std::sort(samples.begin(), samples.end());
+  for (int step = 0; step <= 1000; ++step) {
+    const double q = step / 1000.0;
+    const size_t target = std::max<size_t>(
+        1, static_cast<size_t>(std::ceil(q * samples.size())));
+    const double exact = samples[target - 1];
+    const double reported = histogram.Quantile(q);
+    EXPECT_GE(reported, exact) << "q " << q;
+    EXPECT_LE(reported, exact * 1.125) << "q " << q;
+  }
+  // Below 1 µs the error bound is absolute: 1/8 µs.
+  LatencyHistogram small;
+  small.Record(0.3);
+  EXPECT_EQ(small.P50(), 0.375);
 }
 
 // NaN durations are dropped and ledgered, never bucketed: a NaN would

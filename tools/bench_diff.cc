@@ -4,6 +4,12 @@
 //   bench_diff old.json new.json            # report only
 //   bench_diff --gate old.json new.json     # exit 1 on a regression
 //   bench_diff --gate --threshold=0.15 ...  # custom gate (fraction)
+//   bench_diff --gate b1.json,b2.json h1.json,h2.json
+//
+// Either side may name several runs, comma-separated; each benchmark
+// then counts at its fastest time over that side's runs (noise on a
+// shared host only ever adds time). Running base and head interleaved
+// on one machine and diffing the lists is the like-for-like gate.
 //
 // Accepts either raw google-benchmark JSON ({"context", "benchmarks"})
 // or a wrapped BENCH_prN.json ({"micro_core": {...}, ...}); the scan is
@@ -112,9 +118,40 @@ std::string BuildType(const std::string& text) {
   return v.empty() ? "unknown" : v;
 }
 
+/// One side of the diff: the comma-separated run files in `paths`,
+/// each benchmark at its fastest time across them, in first-seen order.
+/// `text` receives the first file's text (for its build type). False
+/// (with a message) when a file cannot be read.
+bool ReadSide(const std::string& paths, std::vector<BenchEntry>* entries,
+              std::string* text) {
+  std::map<std::string, size_t> index;
+  std::stringstream list(paths);
+  std::string path;
+  while (std::getline(list, path, ',')) {
+    std::string file_text;
+    if (!ReadFile(path, &file_text)) {
+      std::fprintf(stderr, "bench_diff: cannot read %s\n", path.c_str());
+      return false;
+    }
+    for (BenchEntry& e : ExtractBenchmarks(file_text)) {
+      const auto [it, inserted] = index.emplace(e.name, entries->size());
+      if (inserted) {
+        entries->push_back(std::move(e));
+      } else {
+        (*entries)[it->second].time_ns =
+            std::min((*entries)[it->second].time_ns, e.time_ns);
+      }
+    }
+    if (text->empty()) *text = std::move(file_text);
+  }
+  return true;
+}
+
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--gate] [--threshold=FRACTION] OLD.json NEW.json\n"
+               "  OLD / NEW may list several runs, comma-separated; each\n"
+               "  benchmark counts at its fastest time over them\n"
                "  --gate            exit 1 when any benchmark regresses by\n"
                "                    more than the threshold (default 0.10)\n"
                "  --threshold=0.10  regression gate as a fraction of the\n"
@@ -145,20 +182,14 @@ int main(int argc, char** argv) {
   if (paths.size() != 2) return Usage(argv[0]);
 
   std::string old_text, new_text;
-  if (!ReadFile(paths[0], &old_text)) {
-    std::fprintf(stderr, "bench_diff: cannot read %s\n", paths[0].c_str());
-    return 2;
-  }
-  if (!ReadFile(paths[1], &new_text)) {
-    std::fprintf(stderr, "bench_diff: cannot read %s\n", paths[1].c_str());
+  std::vector<BenchEntry> old_entries, new_entries;
+  if (!ReadSide(paths[0], &old_entries, &old_text) ||
+      !ReadSide(paths[1], &new_entries, &new_text)) {
     return 2;
   }
 
   std::map<std::string, double> old_times;
-  for (const BenchEntry& e : ExtractBenchmarks(old_text)) {
-    old_times.emplace(e.name, e.time_ns);
-  }
-  const std::vector<BenchEntry> new_entries = ExtractBenchmarks(new_text);
+  for (const BenchEntry& e : old_entries) old_times.emplace(e.name, e.time_ns);
   if (old_times.empty() || new_entries.empty()) {
     std::fprintf(stderr,
                  "bench_diff: no micro_core benchmarks found in %s\n",
