@@ -1,9 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the hot primitives underneath
 // the ITSPQ search: ATI membership, checkpoint lookup, reduced-graph
 // derivation, point location, door-adjacency compile, frontier
-// disciplines, masked neighbour scans, and end-to-end queries.
+// disciplines, masked neighbour scans, end-to-end queries, and the
+// online-update commit.
 
 #include <benchmark/benchmark.h>
+
+#include <cstdlib>
+#include <memory>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "itgraph/csr_adjacency.h"
@@ -105,6 +110,45 @@ void BM_CsrAdjacencyCompile(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CsrAdjacencyCompile);
+
+void BM_ApplyAtiUpdate(benchmark::State& state) {
+  // The write path as the search_families probe drives it: the paper
+  // mall (|T| = 8) as an itg-a+ and an itg-a shard, committing one fixed
+  // pre-generated update stream. Replacement hours add checkpoints, so
+  // a fresh catalog every kCommits keeps |T| at its realistic size.
+  constexpr size_t kCommits = 100;
+  static World* paper = new World(BuildWorld(kDefaultT, /*floors=*/5));
+  auto make_catalog = [] {
+    auto catalog = std::make_unique<VenueCatalog>();
+    for (const char* strategy : {"itg-a+", "itg-a"}) {
+      if (!catalog->AddVenue(Venue(*paper->venue), strategy).ok()) {
+        std::abort();
+      }
+    }
+    return catalog;
+  };
+  static std::vector<TimedAtiUpdate>* stream = [&] {
+    UpdateStreamConfig config;
+    config.num_updates = static_cast<int>(kCommits);
+    config.seed = 1;
+    auto updates = GenerateUpdateStream(*make_catalog(), config);
+    if (!updates.ok()) std::abort();
+    return new std::vector<TimedAtiUpdate>(*std::move(updates));
+  }();
+  std::unique_ptr<VenueCatalog> catalog;
+  size_t i = 0;
+  for (auto _ : state) {
+    if (i % kCommits == 0) {
+      state.PauseTiming();
+      catalog = make_catalog();
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(
+        catalog->ApplyAtiUpdate((*stream)[i % kCommits].update));
+    ++i;
+  }
+}
+BENCHMARK(BM_ApplyAtiUpdate);
 
 void BM_FrontierQueue(benchmark::State& state) {
   // A synthetic Dijkstra-shaped workload: pushes drift upward from the

@@ -4,7 +4,7 @@
 // Packed venue artifacts: build-once/load-fast serialization of a full
 // venue world (format.h documents the on-disk layout).
 //
-// The write side compiles everything expensive exactly once — AtiSets
+// The write side compiles everything expensive exactly once — ATIs
 // are normalised, the checkpoint ledger and flip CSR are derived, the
 // D2D matrix optionally materialised — and packs it into one flat
 // `.itspq` file:
@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "itgraph/ati.h"
+#include "itgraph/checkpoints.h"
 #include "query/registry.h"
 #include "query/router.h"
 #include "venue/venue.h"
@@ -53,12 +53,16 @@ struct ArtifactWriteOptions {
 /// no public default constructor.
 struct LoadedVenueWorld {
   std::unique_ptr<Venue> venue;
-  /// Compiled per-door AtiSets, adopted verbatim into the ItGraph.
-  std::vector<AtiSet> atis;
+  /// Normalised per-door ATI rows, adopted verbatim as the ItGraph's
+  /// flat rows: door d's intervals are [ati_starts[i], ati_ends[i]) for
+  /// i in [ati_offsets[d], ati_offsets[d + 1]).
+  std::vector<uint32_t> ati_offsets;
+  std::vector<double> ati_starts;
+  std::vector<double> ati_ends;
   /// The boundary ledger: checkpoint_times[i] is contributed by exactly
-  /// the (ascending) doors in flip_lists[i].
+  /// the (ascending) doors flip_index lists for boundary i.
   std::vector<double> checkpoint_times;
-  std::vector<std::vector<DoorId>> flip_lists;
+  BoundaryFlipIndex flip_index;
   /// Row-major n x n materialised distances; empty when the artifact
   /// was written without --d2d.
   std::vector<double> d2d_matrix;
@@ -101,7 +105,7 @@ StatusOr<std::vector<std::string>> ReadFleetManifest(const std::string& path);
 /// as a `VersionedGraph` epoch 0 under `strategy` — the lazy-load
 /// equivalent of VersionedGraph::Build(venue, ...). Of that build's
 /// compilation only the door adjacency is redone (from geometry); the
-/// AtiSets and the checkpoint ledger are adopted from the artifact.
+/// ATI rows and the checkpoint ledger are adopted from the artifact.
 StatusOr<std::shared_ptr<const VersionedGraph>> BuildWorldFromArtifact(
     LoadedVenueWorld world, const std::string& strategy,
     const RouterBuildOptions& options = RouterBuildOptions(),

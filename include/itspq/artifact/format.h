@@ -5,7 +5,7 @@
 //
 // An artifact is one flat, offset-based binary file holding everything a
 // shard needs to serve: the Venue (geometry, doors, ATIs, door lists,
-// point-location grid), the compiled IT-Graph AtiSets, the
+// point-location grid), the compiled IT-Graph ATI rows, the
 // CheckpointSet, the BoundaryFlipIndex CSR, and optionally the
 // materialized D2D matrix. Door-to-door distances are not stored: the
 // loader compiles the CSR adjacency from the validated door positions
@@ -60,7 +60,7 @@ enum class ArtifactSection : uint32_t {
   kDoorAtis = 4,      // per-door source TimeInterval CSR (pre-normalisation)
   kDoorsOf = 5,       // partition -> ascending door-list CSR
   kFloorIndex = 7,    // per-floor point-location grids
-  kCompiledAtis = 8,  // per-door normalised AtiSet CSR (starts/ends)
+  kCompiledAtis = 8,  // per-door normalised ATI-row CSR (starts/ends)
   kCheckpoints = 9,   // sorted checkpoint times
   kFlipIndex = 10,    // per-boundary flip-list CSR (the ledger)
   kD2d = 11,          // optional n x n materialized distance matrix

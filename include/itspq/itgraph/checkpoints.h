@@ -96,15 +96,21 @@ class BoundaryFlipIndex {
   static BoundaryFlipIndex Build(const ItGraph& graph,
                                  const CheckpointSet& cps);
 
-  /// Builds the CSR directly from per-boundary flip lists — the update
-  /// plane's incremental path, which maintains a time → contributing
-  /// doors ledger instead of re-probing every (interval, door) pair.
-  /// For a graph of normalised AtiSets every interior ATI boundary is a
-  /// genuine applicability flip, so `per_boundary[b]` (sorted ascending
-  /// by door) must equal Build()'s list for boundary b; callers assert
-  /// that equivalence in tests.
-  static BoundaryFlipIndex FromLists(
-      const std::vector<std::vector<DoorId>>& per_boundary);
+  /// The boundary ledger of `graph` — every door's interior ATI
+  /// boundaries grouped by time — without Build()'s per-interval probe.
+  /// Fills `times` with the sorted checkpoint times and returns their
+  /// flip lists, each ascending by door. For normalised ATIs every
+  /// interior boundary is a genuine applicability flip, so this equals
+  /// Build(graph, CheckpointSet::FromGraph(graph)); tests assert it.
+  static BoundaryFlipIndex FromAtiBoundaries(const ItGraph& graph,
+                                             std::vector<double>* times);
+
+  /// Adopts a CSR assembled elsewhere: `offsets` holds NumBoundaries()
+  /// + 1 non-decreasing entries from 0 to doors.size(). The update
+  /// plane's ledger patch and artifact decode (which validates it) build
+  /// their flip lists this way.
+  static BoundaryFlipIndex FromCsr(std::vector<size_t> offsets,
+                                   std::vector<DoorId> doors);
 
   size_t NumBoundaries() const {
     return offsets_.empty() ? 0 : offsets_.size() - 1;

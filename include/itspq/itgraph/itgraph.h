@@ -1,27 +1,26 @@
 #ifndef ITSPQ_ITGRAPH_ITGRAPH_H_
 #define ITSPQ_ITGRAPH_ITGRAPH_H_
 
-// The IT-Graph (paper §II-C): doors as nodes, with an AtiSet per door
-// compiled from the venue's temporal variations. Intra-partition edges
-// are implicit — a door's neighbours are the other doors of its two
-// partitions, with weights read from the venue's distance matrices —
-// so the graph stays small and always consistent with the venue.
+// The IT-Graph (paper §II-C): doors as nodes, each with the normalised
+// ATI compiled from the venue's temporal variations. Intra-partition
+// edges are implicit in the venue — a door's neighbours are the other
+// doors of its two partitions, weighted by straight-line distance — so
+// the graph stays small and always consistent with the venue.
 //
 // The graph keeps a pointer to the venue it was built from; the venue
 // must outlive the graph.
 //
-// Alongside the per-door AtiSet objects (the source of truth for
-// checkpoint derivation, artifact encoding, and copy-on-write epoch
-// rebuilds), the graph compiles two hot-path views at build time:
+// Two flat stores, compiled at build time, are all the graph holds:
 //
 //   - a CsrAdjacency (csr_adjacency.h): the implicit door graph
 //     flattened into contiguous neighbour-id/weight arrays, shared by
 //     shared_ptr across update-plane epochs (ATI edits never change
-//     geometry, which BuildFrom already enforces);
-//   - flat ATI rows (offsets + start/end pools): AtiContainsTimeOfDay
-//     answers the ITG/S per-relaxation membership probe with a short
-//     linear scan over one contiguous row instead of a binary search
-//     through a heap-allocated AtiSet.
+//     geometry, which BuildFrom enforces);
+//   - flat ATI rows (offsets + start/end pools), the only ATI store:
+//     Ati(d) views a row in place, and AtiContainsTimeOfDay answers the
+//     ITG/S per-relaxation membership probe with a short linear scan
+//     over one contiguous row. BuildFrom splices one changed row into
+//     copies of the three arrays.
 
 #include <array>
 #include <cstddef>
@@ -44,33 +43,39 @@ class ItGraph {
   /// normalisation. `venue` must outlive the returned graph.
   static StatusOr<ItGraph> Build(const Venue& venue);
 
-  /// Copy-on-write rebuild after a single-door ATI edit: adopts
-  /// `prev`'s compiled AtiSet rows verbatim and re-normalises only
-  /// `changed_door` from `venue` (which must hold the post-edit state
-  /// with the same door count as prev.venue(), else kInvalidArgument).
-  /// The returned graph points at `venue`, not prev's venue.
+  /// Copy-on-write rebuild after a single-door ATI edit: copies
+  /// `prev`'s flat ATI rows with `changed_door`'s row re-normalised from
+  /// `venue` (which must hold the post-edit state with the same door
+  /// count as prev.venue(), else kInvalidArgument) and shares prev's
+  /// adjacency. The returned graph points at `venue`, not prev's venue.
   static StatusOr<ItGraph> BuildFrom(const ItGraph& prev, const Venue& venue,
                                      DoorId changed_door);
 
   ItGraph(ItGraph&&) = default;
   ItGraph& operator=(ItGraph&&) = default;
 
-  size_t NumDoors() const { return atis_.size(); }
+  size_t NumDoors() const { return ati_offsets_.size() - 1; }
 
-  const AtiSet& Ati(DoorId d) const { return atis_[static_cast<size_t>(d)]; }
+  /// Door `d`'s normalised ATI, viewed in place in the flat rows.
+  AtiView Ati(DoorId d) const {
+    const uint32_t begin = ati_offsets_[static_cast<size_t>(d)];
+    const uint32_t end = ati_offsets_[static_cast<size_t>(d) + 1];
+    return AtiView(Span<double>(ati_starts_.data() + begin, end - begin),
+                   Span<double>(ati_ends_.data() + begin, end - begin));
+  }
 
-  /// Hot-path equivalent of Ati(d).ContainsTimeOfDay(tod) over the
-  /// compiled flat rows: true when door `d` is passable at `tod` (any
-  /// absolute time accepted and wrapped). Rows are tiny (a handful of
-  /// disjoint sorted intervals), so a forward scan beats the AtiSet
-  /// binary search and never leaves the row's cache lines.
+  /// Hot-path equivalent of Ati(d).ContainsTimeOfDay(tod): true when
+  /// door `d` is passable at `tod` (any absolute time accepted and
+  /// wrapped). Rows are tiny (a handful of disjoint sorted intervals),
+  /// so a forward scan beats the AtiView binary search and never leaves
+  /// the row's cache lines.
   bool AtiContainsTimeOfDay(DoorId d, double tod) const {
     const uint32_t begin = ati_offsets_[static_cast<size_t>(d)];
     const uint32_t end = ati_offsets_[static_cast<size_t>(d) + 1];
     if (begin == end) return true;  // always open
     const double t =
         (tod >= 0 && tod < kSecondsPerDay) ? tod : WrapTimeOfDay(tod);
-    // Last interval starting at or before t, as in AtiSet.
+    // Last interval starting at or before t, as in AtiView.
     uint32_t last = end;
     for (uint32_t i = begin; i < end && ati_starts_[i] <= t; ++i) last = i;
     return last != end && t < ati_ends_[last];
@@ -100,18 +105,15 @@ class ItGraph {
   size_t MemoryUsage() const;
 
  private:
-  friend class ArtifactCodec;  // adopts compiled AtiSets without re-normalising
+  friend class ArtifactCodec;  // adopts decoded ATI rows without re-normalising
 
   explicit ItGraph(const Venue& venue) : venue_(&venue) {}
 
-  /// Flattens atis_ into the ati_offsets_/starts_/ends_ rows. Every
-  /// construction path (Build, BuildFrom, artifact adoption) ends here.
-  void CompileAtiRows();
-
   const Venue* venue_;
-  std::vector<AtiSet> atis_;  // indexed by DoorId; the source of truth
 
-  // Compiled hot-path views (see file comment).
+  // The compiled stores (see file comment). Door d's normalised
+  // intervals are [ati_starts_[i], ati_ends_[i]) for i in
+  // [ati_offsets_[d], ati_offsets_[d + 1]).
   std::shared_ptr<const CsrAdjacency> adj_;
   std::vector<uint32_t> ati_offsets_;  // NumDoors() + 1
   std::vector<double> ati_starts_;

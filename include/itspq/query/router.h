@@ -130,10 +130,10 @@ struct QueryRequest {
   uint32_t k = 0;
   /// kNearestFacility: candidate facility doors (e.g. every café door
   /// in the venue). Ids must be in range; duplicates collapse.
-  std::vector<DoorId> facilities;
+  std::vector<DoorId> facilities = {};
   /// kMultiStop: ordered intermediate stops between source and target.
   /// Must be non-empty (otherwise ask kPointToPoint).
-  std::vector<IndoorPoint> waypoints;
+  std::vector<IndoorPoint> waypoints = {};
 };
 
 /// Caller-owned mutable scratch for Route(). Reusing one context across

@@ -7,16 +7,17 @@
 // UpdateApplier::Apply derives the NEXT version without rebuilding the
 // world from scratch:
 //
-//   venue        — Venue::Builder::FromVenue copy; geometry (distance
-//                  matrices, point-location grid) carried, only the
-//                  door's ATI row replaced.
-//   graph        — ItGraph::BuildFrom: every compiled AtiSet adopted
-//                  verbatim except the changed door's.
-//   checkpoints  — the boundary ledger is patched: the changed door's
-//                  old boundary contributions removed (dropping times
-//                  no other door contributes), its new ones inserted.
-//   flip index   — BoundaryFlipIndex::FromLists over the patched
-//                  ledger; no (interval x door) re-probe.
+//   venue        — Venue::Builder::FromVenue + SetDoorAti: the
+//                  geometry block (partitions, doors, door lists,
+//                  point-location grid) is shared by pointer; only the
+//                  flat ATI table (offsets + interval pool) is copied,
+//                  with the door's row replaced.
+//   graph        — ItGraph::BuildFrom: the adjacency is shared; the
+//                  flat ATI rows are copied with the door's row spliced.
+//   ledger       — one merge pass over the checkpoint times and the CSR
+//                  flip index moves the door's entries from its old
+//                  boundaries to its new ones (dropping times no other
+//                  door contributes); no (interval x door) re-probe.
 //   snapshots    — a carry plan maps each new interval to the old
 //                  interval spanning the identical time range; resident
 //                  snapshots carry their shared_ptr slots across unless
@@ -25,8 +26,9 @@
 //
 // Apply never touches `current` beyond const reads of its store (one
 // mutex hold to lift resident slots): published versions are immutable.
-// Cost is O(|old ATI| + |new ATI| + |T| + carry work), independent of
-// door count — the paper's Graph_Update economics extended to writes.
+// It allocates O(|T|) blocks, none per door or partition; the only
+// door-count term is copying a handful of flat arrays (memcpy-speed),
+// so the paper's Graph_Update economics extend to writes.
 
 #include <memory>
 

@@ -15,11 +15,12 @@
 //
 // Internally the checkpoint structure is kept as a "boundary ledger":
 // per checkpoint time, the sorted list of doors contributing that time
-// as an interior ATI boundary. For normalised AtiSets every interior
+// as an interior ATI boundary. For normalised ATIs every interior
 // boundary is a genuine applicability flip, so the ledger IS the flip
-// index (CSR-ified via BoundaryFlipIndex::FromLists) — and a
-// single-door update edits only that door's ledger entries instead of
-// re-probing every (interval, door) pair.
+// index: the CheckpointSet holds the times and the CSR
+// BoundaryFlipIndex the door lists, with no second copy. A single-door
+// update patches that door's entries in one merge pass over the CSR
+// instead of re-probing every (interval, door) pair.
 
 #include <cstddef>
 #include <cstdint>
@@ -67,15 +68,16 @@ class VersionedGraph {
  private:
   friend class UpdateApplier;
   /// The artifact loader (artifact/artifact.h) assembles epoch 0 from a
-  /// decoded file: it fills the ledger directly and calls FinishBuild,
-  /// skipping the graph compilation Build() performs.
+  /// decoded file: it adopts the ledger directly and calls FinishBuild,
+  /// skipping the ATI normalisation Build() performs.
   friend class ArtifactCodec;
 
   VersionedGraph() = default;
 
-  /// Compiles the ledger + flip index from `graph_` (epoch 0 only; the
-  /// update path patches the previous version's ledger instead) and
-  /// builds router_ with a warm start. Both ctor paths funnel here.
+  /// Builds router_ over graph_ with a warm start from the ledger
+  /// (checkpoints_ + flips_), which every construction path fills
+  /// first: Build derives it, the update path patches the previous
+  /// version's, the artifact loader adopts the file's.
   Status FinishBuild(const SnapshotStore* carry_from,
                      std::vector<ptrdiff_t> carry_plan,
                      std::vector<size_t> invalidate);
@@ -92,11 +94,8 @@ class VersionedGraph {
   // into venue_, router_ into graph_ and checkpoints.
   std::unique_ptr<Venue> venue_;
   std::unique_ptr<ItGraph> graph_;
-  /// The boundary ledger: boundary_times_[i] is contributed by exactly
-  /// the doors in boundary_doors_[i] (sorted ascending). times are the
-  /// checkpoint set; doors are the flip lists.
-  std::vector<double> boundary_times_;
-  std::vector<std::vector<DoorId>> boundary_doors_;
+  /// The boundary ledger: checkpoint time i is contributed by exactly
+  /// the (ascending) doors flips_ lists for boundary i.
   CheckpointSet checkpoints_;
   BoundaryFlipIndex flips_;
   std::unique_ptr<Router> router_;

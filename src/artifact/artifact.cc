@@ -1,6 +1,11 @@
 #include "artifact/artifact.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -132,7 +137,7 @@ struct MetaSection {
 
 }  // namespace
 
-/// Befriended by Venue, AtiSet, ItGraph, and VersionedGraph: encodes
+/// Befriended by Venue, ItGraph, and VersionedGraph: encodes
 /// their private representations verbatim and re-adopts them at load
 /// time; only the door adjacency is recompiled, from the geometry.
 class ArtifactCodec {
@@ -161,7 +166,7 @@ class ArtifactCodec {
                            const std::map<uint32_t, ByteReader>& sections,
                            Venue* venue);
   static Status ParseCompiledAtis(ByteReader& r, size_t num_doors,
-                                  std::vector<AtiSet>* atis);
+                                  LoadedVenueWorld* world);
 };
 
 // ---------------------------------------------------------------------------
@@ -170,15 +175,15 @@ class ArtifactCodec {
 
 void ArtifactCodec::EncodeMeta(const Venue& v, const ArtifactWriteOptions& o,
                                ByteWriter& w) {
-  w.U64(v.partitions_.size());
-  w.U64(v.doors_.size());
+  w.U64(v.NumPartitions());
+  w.U64(v.NumDoors());
   w.U64(o.include_d2d ? kFlagHasD2d : 0);
   w.U64(o.label.size());
   w.Raw(o.label.data(), o.label.size());
 }
 
 void ArtifactCodec::EncodePartitions(const Venue& v, ByteWriter& w) {
-  for (const Partition& p : v.partitions_) {
+  for (const Partition& p : v.geometry_->partitions) {
     w.F64(p.rect.min_x);
     w.F64(p.rect.min_y);
     w.F64(p.rect.max_x);
@@ -189,7 +194,7 @@ void ArtifactCodec::EncodePartitions(const Venue& v, ByteWriter& w) {
 }
 
 void ArtifactCodec::EncodeDoors(const Venue& v, ByteWriter& w) {
-  for (const Door& d : v.doors_) {
+  for (const Door& d : v.geometry_->doors) {
     w.F64(d.pos.x);
     w.F64(d.pos.y);
     w.I32(d.floor);
@@ -202,36 +207,27 @@ void ArtifactCodec::EncodeDoors(const Venue& v, ByteWriter& w) {
 void ArtifactCodec::EncodeDoorAtis(const Venue& v, ByteWriter& w) {
   // The SOURCE intervals (pre-normalisation) ride along so a loaded
   // venue behaves identically under Builder::FromVenue / SetDoorAti —
-  // the online-update path re-derives from these, not from AtiSets.
-  uint64_t total = 0;
-  w.U64(v.doors_.size() + 1);
-  w.U64(0);
-  for (const Door& d : v.doors_) {
-    total += d.ati_intervals.size();
-    w.U64(total);
-  }
-  for (const Door& d : v.doors_) {
-    for (const TimeInterval& ti : d.ati_intervals) {
-      w.F64(ti.start);
-      w.F64(ti.end);
-    }
-  }
+  // the online-update path re-derives from these, not from the
+  // compiled rows.
+  w.U64(v.ati_offsets_.size());
+  for (uint32_t offset : v.ati_offsets_) w.U64(offset);
+  w.Pod(v.ati_pool_);
 }
 
 void ArtifactCodec::EncodeDoorsOf(const Venue& v, ByteWriter& w) {
   uint64_t total = 0;
   w.U64(0);
-  for (const auto& doors : v.doors_of_) {
+  for (const auto& doors : v.geometry_->doors_of) {
     total += doors.size();
     w.U64(total);
   }
-  for (const auto& doors : v.doors_of_) w.Pod(doors);
+  for (const auto& doors : v.geometry_->doors_of) w.Pod(doors);
 }
 
 void ArtifactCodec::EncodeFloorIndex(const Venue& v, ByteWriter& w) {
-  w.I32(v.min_floor_);
-  w.U32(static_cast<uint32_t>(v.floor_index_.size()));
-  for (const Venue::FloorIndex& fi : v.floor_index_) {
+  w.I32(v.geometry_->min_floor);
+  w.U32(static_cast<uint32_t>(v.geometry_->floor_index.size()));
+  for (const Venue::FloorIndex& fi : v.geometry_->floor_index) {
     w.F64(fi.origin_x);
     w.F64(fi.origin_y);
     w.F64(fi.cell);
@@ -248,14 +244,9 @@ void ArtifactCodec::EncodeFloorIndex(const Venue& v, ByteWriter& w) {
 }
 
 void ArtifactCodec::EncodeCompiledAtis(const ItGraph& g, ByteWriter& w) {
-  uint64_t total = 0;
-  w.U64(0);
-  for (const AtiSet& a : g.atis_) {
-    total += a.starts_.size();
-    w.U64(total);
-  }
-  for (const AtiSet& a : g.atis_) w.Pod(a.starts_);
-  for (const AtiSet& a : g.atis_) w.Pod(a.ends_);
+  for (uint32_t offset : g.ati_offsets_) w.U64(offset);
+  w.Pod(g.ati_starts_);
+  w.Pod(g.ati_ends_);
 }
 
 StatusOr<std::vector<uint8_t>> ArtifactCodec::Encode(
@@ -280,27 +271,10 @@ StatusOr<std::vector<uint8_t>> ArtifactCodec::Encode(
   EncodeFloorIndex(venue, section(ArtifactSection::kFloorIndex));
   EncodeCompiledAtis(*graph, section(ArtifactSection::kCompiledAtis));
 
-  // The boundary ledger, grouped exactly as VersionedGraph::Build does
-  // it: (time, door) contributions sorted on the pair key, so each
-  // per-boundary door list comes out ascending.
-  std::vector<std::pair<double, DoorId>> contributions;
-  const size_t n = graph->NumDoors();
-  for (size_t d = 0; d < n; ++d) {
-    for (double t : graph->Ati(static_cast<DoorId>(d)).InteriorBoundaries()) {
-      contributions.emplace_back(t, static_cast<DoorId>(d));
-    }
-  }
-  std::sort(contributions.begin(), contributions.end());
+  // The boundary ledger, derived exactly as VersionedGraph::Build does.
   std::vector<double> times;
-  std::vector<std::vector<DoorId>> flip_lists;
-  for (const auto& [t, d] : contributions) {
-    if (times.empty() || times.back() != t) {
-      times.push_back(t);
-      flip_lists.emplace_back();
-    }
-    flip_lists.back().push_back(d);
-  }
-
+  const BoundaryFlipIndex flips =
+      BoundaryFlipIndex::FromAtiBoundaries(*graph, &times);
   {
     ByteWriter& w = section(ArtifactSection::kCheckpoints);
     w.U64(times.size());
@@ -308,20 +282,23 @@ StatusOr<std::vector<uint8_t>> ArtifactCodec::Encode(
   }
   {
     ByteWriter& w = section(ArtifactSection::kFlipIndex);
-    w.U64(flip_lists.size());
+    w.U64(flips.NumBoundaries());
     uint64_t total = 0;
     w.U64(0);
-    for (const auto& doors : flip_lists) {
-      total += doors.size();
+    for (size_t b = 0; b < flips.NumBoundaries(); ++b) {
+      total += flips.NumFlips(b);
       w.U64(total);
     }
-    for (const auto& doors : flip_lists) w.Pod(doors);
+    for (size_t b = 0; b < flips.NumBoundaries(); ++b) {
+      w.Raw(flips.FlipsBegin(b), flips.NumFlips(b) * sizeof(DoorId));
+    }
   }
 
   if (options.include_d2d) {
     auto d2d = D2dIndex::Build(*graph);
     if (!d2d.ok()) return d2d.status();
     ByteWriter& w = section(ArtifactSection::kD2d);
+    const size_t n = graph->NumDoors();
     w.U64(n);
     for (size_t from = 0; from < n; ++from) {
       for (size_t to = 0; to < n; ++to) {
@@ -452,6 +429,15 @@ bool ReadCsrOffsets(ByteReader& r, size_t count, std::vector<uint64_t>* out) {
   return true;
 }
 
+/// The in-memory ATI rows index their pools with 32-bit offsets; false
+/// when a (validated, non-decreasing) offset array does not fit.
+bool NarrowOffsets(const std::vector<uint64_t>& wide,
+                   std::vector<uint32_t>* out) {
+  if (wide.back() > UINT32_MAX) return false;
+  out->assign(wide.begin(), wide.end());
+  return true;
+}
+
 }  // namespace
 
 Status ArtifactCodec::ParseMeta(ByteReader& r, MetaSection* meta) {
@@ -475,24 +461,25 @@ Status ArtifactCodec::ParseMeta(ByteReader& r, MetaSection* meta) {
 }
 
 Status ArtifactCodec::ParseCompiledAtis(ByteReader& r, size_t num_doors,
-                                        std::vector<AtiSet>* atis) {
+                                        LoadedVenueWorld* world) {
   constexpr uint32_t kKind =
       static_cast<uint32_t>(ArtifactSection::kCompiledAtis);
   std::vector<uint64_t> offsets;
-  if (!ReadCsrOffsets(r, num_doors, &offsets)) {
+  if (!ReadCsrOffsets(r, num_doors, &offsets) ||
+      !NarrowOffsets(offsets, &world->ati_offsets)) {
     return CorruptSection(kKind, "malformed interval offsets");
   }
-  std::vector<double> starts, ends;
+  std::vector<double>& starts = world->ati_starts;
+  std::vector<double>& ends = world->ati_ends;
   if (!r.Pod(&starts, offsets[num_doors]) ||
       !r.Pod(&ends, offsets[num_doors]) || !r.Exhausted()) {
     return CorruptSection(kKind, "interval pool truncated");
   }
-  atis->resize(num_doors);
   for (size_t d = 0; d < num_doors; ++d) {
     const size_t begin = static_cast<size_t>(offsets[d]);
     const size_t end = static_cast<size_t>(offsets[d + 1]);
     // Adopted verbatim — but verify the normalisation invariant the
-    // binary-search lookup relies on (sorted, disjoint, in-range), so a
+    // membership probes rely on (sorted, disjoint, in-range), so a
     // corrupt-but-checksum-colliding file cannot produce silent wrong
     // answers.
     for (size_t i = begin; i < end; ++i) {
@@ -504,9 +491,6 @@ Status ArtifactCodec::ParseCompiledAtis(ByteReader& r, size_t num_doors,
                                          " intervals are not normalised");
       }
     }
-    AtiSet& a = (*atis)[d];
-    a.starts_.assign(starts.begin() + begin, starts.begin() + end);
-    a.ends_.assign(ends.begin() + begin, ends.begin() + end);
   }
   return Status::Ok();
 }
@@ -519,13 +503,14 @@ Status ArtifactCodec::ParseVenue(
   auto reader = [&sections](ArtifactSection kind) {
     return sections.at(static_cast<uint32_t>(kind));  // copy: fresh cursor
   };
+  auto geometry = std::make_shared<Venue::Geometry>();
 
   {
     constexpr uint32_t kKind =
         static_cast<uint32_t>(ArtifactSection::kPartitions);
     ByteReader r = reader(ArtifactSection::kPartitions);
-    venue->partitions_.resize(P);
-    for (Partition& p : venue->partitions_) {
+    geometry->partitions.resize(P);
+    for (Partition& p : geometry->partitions) {
       uint32_t pad;
       if (!r.F64(&p.rect.min_x) || !r.F64(&p.rect.min_y) ||
           !r.F64(&p.rect.max_x) || !r.F64(&p.rect.max_y) ||
@@ -539,8 +524,8 @@ Status ArtifactCodec::ParseVenue(
   {
     constexpr uint32_t kKind = static_cast<uint32_t>(ArtifactSection::kDoors);
     ByteReader r = reader(ArtifactSection::kDoors);
-    venue->doors_.resize(n);
-    for (Door& d : venue->doors_) {
+    geometry->doors.resize(n);
+    for (Door& d : geometry->doors) {
       uint32_t pad;
       if (!r.F64(&d.pos.x) || !r.F64(&d.pos.y) || !r.I32(&d.floor) ||
           !r.I32(&d.partitions[0]) || !r.I32(&d.partitions[1]) ||
@@ -571,14 +556,11 @@ Status ArtifactCodec::ParseVenue(
         !ReadCsrOffsets(r, n, &offsets)) {
       return CorruptSection(kKind, "malformed interval offsets");
     }
-    std::vector<TimeInterval> pool;
-    if (!r.Pod(&pool, offsets[n]) || !r.Exhausted()) {
-      return CorruptSection(kKind, "interval pool truncated");
+    if (!NarrowOffsets(offsets, &venue->ati_offsets_)) {
+      return CorruptSection(kKind, "malformed interval offsets");
     }
-    for (size_t d = 0; d < n; ++d) {
-      venue->doors_[d].ati_intervals.assign(
-          pool.begin() + static_cast<size_t>(offsets[d]),
-          pool.begin() + static_cast<size_t>(offsets[d + 1]));
+    if (!r.Pod(&venue->ati_pool_, offsets[n]) || !r.Exhausted()) {
+      return CorruptSection(kKind, "interval pool truncated");
     }
   }
 
@@ -612,7 +594,7 @@ Status ArtifactCodec::ParseVenue(
     // every door listed under both of its partitions (bit `side` of
     // listed[d] records the list of door d's partitions[side]).
     std::vector<uint8_t> listed(n, 0);
-    venue->doors_of_.resize(P);
+    geometry->doors_of.resize(P);
     for (size_t p = 0; p < P; ++p) {
       const size_t begin = static_cast<size_t>(offsets[p]);
       const size_t end = static_cast<size_t>(offsets[p + 1]);
@@ -626,7 +608,7 @@ Status ArtifactCodec::ParseVenue(
                                            " door list is not strictly "
                                            "ascending");
         }
-        const auto& sides = venue->doors_[static_cast<size_t>(d)].partitions;
+        const auto& sides = geometry->doors[static_cast<size_t>(d)].partitions;
         if (sides[0] != static_cast<PartitionId>(p) &&
             sides[1] != static_cast<PartitionId>(p)) {
           return CorruptSection(kKind, "partition " + std::to_string(p) +
@@ -636,11 +618,11 @@ Status ArtifactCodec::ParseVenue(
         listed[static_cast<size_t>(d)] |=
             sides[0] == static_cast<PartitionId>(p) ? 1 : 2;
       }
-      venue->doors_of_[p].assign(pool.begin() + begin, pool.begin() + end);
+      geometry->doors_of[p].assign(pool.begin() + begin, pool.begin() + end);
     }
     for (size_t d = 0; d < n; ++d) {
       if (listed[d] != 3) {
-        const auto& sides = venue->doors_[d].partitions;
+        const auto& sides = geometry->doors[d].partitions;
         const PartitionId missing = (listed[d] & 1) ? sides[1] : sides[0];
         return CorruptSection(kKind, "door " + std::to_string(d) +
                                          " is missing from partition " +
@@ -655,12 +637,12 @@ Status ArtifactCodec::ParseVenue(
         static_cast<uint32_t>(ArtifactSection::kFloorIndex);
     ByteReader r = reader(ArtifactSection::kFloorIndex);
     uint32_t num_floors = 0;
-    if (!r.I32(&venue->min_floor_) || !r.U32(&num_floors) ||
+    if (!r.I32(&geometry->min_floor) || !r.U32(&num_floors) ||
         num_floors > 4096) {
       return CorruptSection(kKind, "malformed floor header");
     }
-    venue->floor_index_.resize(num_floors);
-    for (Venue::FloorIndex& fi : venue->floor_index_) {
+    geometry->floor_index.resize(num_floors);
+    for (Venue::FloorIndex& fi : geometry->floor_index) {
       if (!r.F64(&fi.origin_x) || !r.F64(&fi.origin_y) || !r.F64(&fi.cell) ||
           !r.I32(&fi.cols) || !r.I32(&fi.rows) || fi.cols < 0 || fi.rows < 0 ||
           fi.cell <= 0) {
@@ -693,6 +675,7 @@ Status ArtifactCodec::ParseVenue(
     if (!r.Exhausted()) return CorruptSection(kKind, "trailing bytes");
   }
 
+  venue->geometry_ = std::move(geometry);
   return Status::Ok();
 }
 
@@ -751,7 +734,7 @@ StatusOr<LoadedVenueWorld> ArtifactCodec::Decode(const uint8_t* data,
   {
     ByteReader r =
         sections.at(static_cast<uint32_t>(ArtifactSection::kCompiledAtis));
-    Status s = ParseCompiledAtis(r, n, &world.atis);
+    Status s = ParseCompiledAtis(r, n, &world);
     if (!s.ok()) return s;
   }
 
@@ -791,8 +774,7 @@ StatusOr<LoadedVenueWorld> ArtifactCodec::Decode(const uint8_t* data,
         !r.Exhausted()) {
       return CorruptSection(kKind, "flip pool truncated");
     }
-    world.flip_lists.resize(static_cast<size_t>(boundaries));
-    for (size_t b = 0; b < world.flip_lists.size(); ++b) {
+    for (size_t b = 0; b < boundaries; ++b) {
       const size_t begin = static_cast<size_t>(offsets[b]);
       const size_t end = static_cast<size_t>(offsets[b + 1]);
       if (begin == end) {
@@ -806,8 +788,9 @@ StatusOr<LoadedVenueWorld> ArtifactCodec::Decode(const uint8_t* data,
                                            std::to_string(b));
         }
       }
-      world.flip_lists[b].assign(pool.begin() + begin, pool.begin() + end);
     }
+    world.flip_index =
+        BoundaryFlipIndex::FromCsr(std::move(offsets), std::move(pool));
   }
 
   const uint32_t d2d_kind = static_cast<uint32_t>(ArtifactSection::kD2d);
@@ -839,10 +822,22 @@ StatusOr<std::shared_ptr<const VersionedGraph>> ArtifactCodec::BuildWorld(
   if (world.venue == nullptr) {
     return InvalidArgumentError("BuildWorldFromArtifact: world has no venue");
   }
-  if (world.atis.size() != world.venue->NumDoors()) {
+  const std::vector<uint32_t>& offsets = world.ati_offsets;
+  bool rows_ok = offsets.size() == world.venue->NumDoors() + 1 &&
+                 offsets.front() == 0 &&
+                 offsets.back() == world.ati_starts.size() &&
+                 world.ati_ends.size() == world.ati_starts.size();
+  for (size_t d = 0; rows_ok && d + 1 < offsets.size(); ++d) {
+    rows_ok = offsets[d] <= offsets[d + 1];
+  }
+  if (!rows_ok) {
     return InvalidArgumentError(
-        "BuildWorldFromArtifact: compiled AtiSet count does not match the "
-        "venue's doors");
+        "BuildWorldFromArtifact: compiled ATI rows do not match the venue's "
+        "doors");
+  }
+  if (world.flip_index.NumBoundaries() != world.checkpoint_times.size()) {
+    return InvalidArgumentError(
+        "BuildWorldFromArtifact: flip index does not match the checkpoints");
   }
 
   std::shared_ptr<VersionedGraph> version(new VersionedGraph());
@@ -852,12 +847,14 @@ StatusOr<std::shared_ptr<const VersionedGraph>> ArtifactCodec::BuildWorld(
   version->registry_ = registry;
   version->venue_ = std::move(world.venue);
 
-  // Adopt the compiled AtiSets verbatim — the decode path already
+  // Adopt the compiled ATI rows verbatim — the decode path already
   // verified the normalisation invariant, so no AtiSet::Create here.
   // The adjacency is compiled from the venue's door positions and door
   // lists, so it agrees with the geometry by construction.
   ItGraph graph(*version->venue_);
-  graph.atis_ = std::move(world.atis);
+  graph.ati_offsets_ = std::move(world.ati_offsets);
+  graph.ati_starts_ = std::move(world.ati_starts);
+  graph.ati_ends_ = std::move(world.ati_ends);
   graph.adj_ = std::make_shared<const CsrAdjacency>(
       CsrAdjacency::Compile(*version->venue_));
   // Decode admits only finite positions, but two far-apart finite ones
@@ -866,11 +863,12 @@ StatusOr<std::shared_ptr<const VersionedGraph>> ArtifactCodec::BuildWorld(
     return InvalidArgumentError(
         "BuildWorldFromArtifact: door positions overflow an edge weight");
   }
-  graph.CompileAtiRows();
   version->graph_ = std::make_unique<ItGraph>(std::move(graph));
 
-  version->boundary_times_ = std::move(world.checkpoint_times);
-  version->boundary_doors_ = std::move(world.flip_lists);
+  auto cps = CheckpointSet::FromTimes(std::move(world.checkpoint_times));
+  if (!cps.ok()) return cps.status();
+  version->checkpoints_ = *std::move(cps);
+  version->flips_ = std::move(world.flip_index);
 
   Status status = version->FinishBuild(/*carry_from=*/nullptr, {}, {});
   if (!status.ok()) return status;
@@ -891,19 +889,35 @@ Status WriteVenueArtifact(const std::string& path, const Venue& venue,
   auto image = ArtifactCodec::Encode(venue, options);
   if (!image.ok()) return image.status();
 
-  // Write to a sibling temp file, then rename over the target, so a
-  // crashed writer never leaves a half-written artifact at `path`.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return InternalError("cannot open " + tmp + " for writing");
-    }
-    out.write(reinterpret_cast<const char*>(image->data()),
-              static_cast<std::streamsize>(image->size()));
-    if (!out) {
+  // Stage the image in a sibling file no other writer can share (this
+  // process's id + a process-wide sequence number, created O_EXCL),
+  // then rename it over the target: a crashed writer never leaves a
+  // half-written artifact at `path`, and concurrent writers of the same
+  // path — threads or processes — each publish a whole image.
+  static std::atomic<uint64_t> sequence{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(sequence.fetch_add(1));
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
+                        0666);
+  if (fd < 0) {
+    return InternalError("cannot create " + tmp + ": " + std::strerror(errno));
+  }
+  const uint8_t* data = image->data();
+  size_t left = image->size();
+  while (left > 0) {
+    const ssize_t n = ::write(fd, data, left);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      ::close(fd);
+      std::remove(tmp.c_str());
       return InternalError("short write to " + tmp);
     }
+    data += n;
+    left -= static_cast<size_t>(n);
+  }
+  if (::close(fd) != 0) {
+    std::remove(tmp.c_str());
+    return InternalError("cannot close " + tmp);
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());

@@ -63,7 +63,7 @@ StatusOr<AtiSet> AtiSet::Create(std::vector<TimeInterval> intervals) {
   return set;
 }
 
-std::vector<double> AtiSet::InteriorBoundaries() const {
+std::vector<double> AtiView::InteriorBoundaries() const {
   std::vector<double> out;
   out.reserve(starts_.size() * 2);
   for (size_t i = 0; i < starts_.size(); ++i) {

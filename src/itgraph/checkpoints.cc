@@ -59,18 +59,39 @@ BoundaryFlipIndex BoundaryFlipIndex::Build(const ItGraph& graph,
   return index;
 }
 
-BoundaryFlipIndex BoundaryFlipIndex::FromLists(
-    const std::vector<std::vector<DoorId>>& per_boundary) {
-  BoundaryFlipIndex index;
-  index.offsets_.assign(per_boundary.size() + 1, 0);
-  size_t total = 0;
-  for (const auto& list : per_boundary) total += list.size();
-  index.doors_.reserve(total);
-  for (size_t b = 0; b < per_boundary.size(); ++b) {
-    index.doors_.insert(index.doors_.end(), per_boundary[b].begin(),
-                        per_boundary[b].end());
-    index.offsets_[b + 1] = index.doors_.size();
+BoundaryFlipIndex BoundaryFlipIndex::FromAtiBoundaries(
+    const ItGraph& graph, std::vector<double>* times) {
+  // Collect (time, door) contributions, then group by time. Sorting on
+  // the pair key leaves each per-boundary door list ascending —
+  // matching Build()'s ascending-door emission order.
+  std::vector<std::pair<double, DoorId>> contributions;
+  const size_t n = graph.NumDoors();
+  for (size_t d = 0; d < n; ++d) {
+    for (double t : graph.Ati(static_cast<DoorId>(d)).InteriorBoundaries()) {
+      contributions.emplace_back(t, static_cast<DoorId>(d));
+    }
   }
+  std::sort(contributions.begin(), contributions.end());
+  BoundaryFlipIndex index;
+  times->clear();
+  index.offsets_.push_back(0);
+  index.doors_.reserve(contributions.size());
+  for (const auto& [t, d] : contributions) {
+    if (times->empty() || times->back() != t) {
+      times->push_back(t);
+      index.offsets_.push_back(index.offsets_.back());
+    }
+    index.doors_.push_back(d);
+    ++index.offsets_.back();
+  }
+  return index;
+}
+
+BoundaryFlipIndex BoundaryFlipIndex::FromCsr(std::vector<size_t> offsets,
+                                             std::vector<DoorId> doors) {
+  BoundaryFlipIndex index;
+  index.offsets_ = std::move(offsets);
+  index.doors_ = std::move(doors);
   return index;
 }
 

@@ -15,14 +15,57 @@ namespace {
 
 /// Span of interval `index` under sorted boundary `times`:
 /// [times[index-1], times[index]) with times[-1] = 0, times[n] = 86400.
-struct Span {
+struct IntervalSpan {
   double lo;
   double hi;
 };
 
-Span SpanOf(const std::vector<double>& times, size_t index) {
-  return Span{index == 0 ? 0.0 : times[index - 1],
-              index == times.size() ? kSecondsPerDay : times[index]};
+IntervalSpan SpanOf(const std::vector<double>& times, size_t index) {
+  return IntervalSpan{index == 0 ? 0.0 : times[index - 1],
+                      index == times.size() ? kSecondsPerDay : times[index]};
+}
+
+/// Moves `door`'s entries in the boundary ledger (checkpoint `times` +
+/// CSR `flips`) to its `new_bounds` (strictly ascending): at every
+/// time, the new flip list is the old one without `door`, plus `door`
+/// when the time is one of its new boundaries; times left with no door
+/// are dropped. One merge pass, O(|T| + flips), three allocations.
+BoundaryFlipIndex PatchLedger(const std::vector<double>& times,
+                              const BoundaryFlipIndex& flips, DoorId door,
+                              const std::vector<double>& new_bounds,
+                              std::vector<double>* new_times) {
+  std::vector<size_t> offsets;
+  std::vector<DoorId> doors;
+  new_times->reserve(times.size() + new_bounds.size());
+  offsets.reserve(times.size() + new_bounds.size() + 1);
+  doors.reserve(flips.TotalFlips() + new_bounds.size());
+  offsets.push_back(0);
+  size_t i = 0, j = 0;
+  while (i < times.size() || j < new_bounds.size()) {
+    const bool in_old = i < times.size() && (j == new_bounds.size() ||
+                                             times[i] <= new_bounds[j]);
+    const bool in_new = j < new_bounds.size() &&
+                        (i == times.size() || new_bounds[j] <= times[i]);
+    const double t = in_old ? times[i] : new_bounds[j];
+    if (in_old) {
+      // The old list is ascending: copy it around `door`'s slot.
+      const DoorId* begin = flips.FlipsBegin(i);
+      const DoorId* end = flips.FlipsEnd(i);
+      const DoorId* at = std::lower_bound(begin, end, door);
+      doors.insert(doors.end(), begin, at);
+      if (in_new) doors.push_back(door);
+      doors.insert(doors.end(), at != end && *at == door ? at + 1 : at, end);
+      ++i;
+    } else {
+      doors.push_back(door);
+    }
+    if (in_new) ++j;
+    if (doors.size() > offsets.back()) {
+      new_times->push_back(t);
+      offsets.push_back(doors.size());
+    }
+  }
+  return BoundaryFlipIndex::FromCsr(std::move(offsets), std::move(doors));
 }
 
 }  // namespace
@@ -59,7 +102,7 @@ StatusOr<std::shared_ptr<const VersionedGraph>> UpdateApplier::Apply(
         old_store->Stats().budget_bytes;
   }
 
-  // Copy-on-write venue: geometry carried, one ATI row replaced.
+  // Copy-on-write venue: geometry shared, one ATI row replaced.
   Venue::Builder builder = Venue::Builder::FromVenue(old_venue);
   Status set = builder.SetDoorAti(door, update.intervals);
   if (!set.ok()) return set;
@@ -71,41 +114,14 @@ StatusOr<std::shared_ptr<const VersionedGraph>> UpdateApplier::Apply(
   if (!graph.ok()) return graph.status();
   next->graph_ = std::make_unique<ItGraph>(*std::move(graph));
 
-  // Patch the boundary ledger: remove the door's old contributions
-  // (dropping times no other door holds), insert its new ones. Only
-  // this door's ledger entries move — O(|T| + |old ATI| + |new ATI|).
-  next->boundary_times_ = current.boundary_times_;
-  next->boundary_doors_ = current.boundary_doors_;
-  const std::vector<double> old_bounds =
-      current.graph().Ati(door).InteriorBoundaries();
-  for (double t : old_bounds) {
-    const auto it = std::lower_bound(next->boundary_times_.begin(),
-                                     next->boundary_times_.end(), t);
-    const size_t b =
-        static_cast<size_t>(it - next->boundary_times_.begin());
-    std::vector<DoorId>& doors = next->boundary_doors_[b];
-    doors.erase(std::remove(doors.begin(), doors.end(), door), doors.end());
-    if (doors.empty()) {
-      next->boundary_times_.erase(it);
-      next->boundary_doors_.erase(next->boundary_doors_.begin() +
-                                  static_cast<ptrdiff_t>(b));
-    }
-  }
-  for (double t : new_ati->InteriorBoundaries()) {
-    const auto it = std::lower_bound(next->boundary_times_.begin(),
-                                     next->boundary_times_.end(), t);
-    const size_t b =
-        static_cast<size_t>(it - next->boundary_times_.begin());
-    if (it == next->boundary_times_.end() || *it != t) {
-      next->boundary_times_.insert(it, t);
-      next->boundary_doors_.insert(
-          next->boundary_doors_.begin() + static_cast<ptrdiff_t>(b),
-          std::vector<DoorId>{door});
-    } else {
-      std::vector<DoorId>& doors = next->boundary_doors_[b];
-      doors.insert(std::lower_bound(doors.begin(), doors.end(), door), door);
-    }
-  }
+  // Patch the boundary ledger: only this door's entries move.
+  std::vector<double> patched_times;
+  next->flips_ = PatchLedger(current.checkpoints_.times(), current.flips_,
+                             door, new_ati->InteriorBoundaries(),
+                             &patched_times);
+  auto cps = CheckpointSet::FromTimes(std::move(patched_times));
+  if (!cps.ok()) return cps.status();
+  next->checkpoints_ = *std::move(cps);
 
   // Carry plan: new interval j carries from old interval i iff their
   // spans are the SAME [lo, hi) — unchanged boundary times are
@@ -113,18 +129,18 @@ StatusOr<std::shared_ptr<const VersionedGraph>> UpdateApplier::Apply(
   // span contains no checkpoint of either world, hence both the old and
   // the new door ATI are constant across it and one midpoint probe
   // decides whether the open-door set changed there (-> invalidate).
-  const std::vector<double>& old_times = current.boundary_times_;
-  const std::vector<double>& new_times = next->boundary_times_;
+  const std::vector<double>& old_times = current.checkpoints_.times();
+  const std::vector<double>& new_times = next->checkpoints_.times();
   std::vector<ptrdiff_t> carry_plan(new_times.size() + 1, kNoCarrySource);
   std::vector<size_t> invalidate;
-  const AtiSet& old_door_ati = current.graph().Ati(door);
+  const AtiView old_door_ati = current.graph().Ati(door);
   for (size_t j = 0; j <= new_times.size(); ++j) {
-    const Span span = SpanOf(new_times, j);
+    const IntervalSpan span = SpanOf(new_times, j);
     const double mid = (span.lo + span.hi) * 0.5;
     const size_t i = static_cast<size_t>(
         std::upper_bound(old_times.begin(), old_times.end(), mid) -
         old_times.begin());
-    const Span old_span = SpanOf(old_times, i);
+    const IntervalSpan old_span = SpanOf(old_times, i);
     if (old_span.lo != span.lo || old_span.hi != span.hi) continue;
     carry_plan[j] = static_cast<ptrdiff_t>(i);
     if (old_door_ati.ContainsTimeOfDay(mid) !=

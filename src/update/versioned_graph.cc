@@ -1,6 +1,5 @@
 #include "update/versioned_graph.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace itspq {
@@ -21,28 +20,12 @@ StatusOr<std::shared_ptr<const VersionedGraph>> VersionedGraph::Build(
   if (!graph.ok()) return graph.status();
   version->graph_ = std::make_unique<ItGraph>(*std::move(graph));
 
-  // Epoch-0 ledger: collect (time, door) contributions of every door,
-  // then group by time. Doors are scanned in ascending id and
-  // std::sort is stable on the (time, door) key, so each per-boundary
-  // door list comes out sorted — matching BoundaryFlipIndex::Build's
-  // ascending-door emission order.
-  std::vector<std::pair<double, DoorId>> contributions;
-  const size_t n = version->graph_->NumDoors();
-  for (size_t d = 0; d < n; ++d) {
-    for (double t :
-         version->graph_->Ati(static_cast<DoorId>(d)).InteriorBoundaries()) {
-      contributions.emplace_back(t, static_cast<DoorId>(d));
-    }
-  }
-  std::sort(contributions.begin(), contributions.end());
-  for (const auto& [t, d] : contributions) {
-    if (version->boundary_times_.empty() ||
-        version->boundary_times_.back() != t) {
-      version->boundary_times_.push_back(t);
-      version->boundary_doors_.emplace_back();
-    }
-    version->boundary_doors_.back().push_back(d);
-  }
+  std::vector<double> times;
+  version->flips_ =
+      BoundaryFlipIndex::FromAtiBoundaries(*version->graph_, &times);
+  auto cps = CheckpointSet::FromTimes(std::move(times));
+  if (!cps.ok()) return cps.status();
+  version->checkpoints_ = *std::move(cps);
 
   Status status = version->FinishBuild(/*carry_from=*/nullptr, {}, {});
   if (!status.ok()) return status;
@@ -52,11 +35,6 @@ StatusOr<std::shared_ptr<const VersionedGraph>> VersionedGraph::Build(
 Status VersionedGraph::FinishBuild(const SnapshotStore* carry_from,
                                    std::vector<ptrdiff_t> carry_plan,
                                    std::vector<size_t> invalidate) {
-  auto cps = CheckpointSet::FromTimes(boundary_times_);
-  if (!cps.ok()) return cps.status();
-  checkpoints_ = *std::move(cps);
-  flips_ = BoundaryFlipIndex::FromLists(boundary_doors_);
-
   SnapshotWarmStart warm;
   warm.checkpoints = &checkpoints_;
   warm.flip_index = &flips_;
@@ -75,12 +53,8 @@ Status VersionedGraph::FinishBuild(const SnapshotStore* carry_from,
 }
 
 size_t VersionedGraph::MemoryUsage() const {
-  size_t ledger = boundary_times_.capacity() * sizeof(double) +
-                  boundary_doors_.capacity() * sizeof(std::vector<DoorId>);
-  for (const auto& doors : boundary_doors_) {
-    ledger += doors.capacity() * sizeof(DoorId);
-  }
-  return venue_->MemoryUsage() + graph_->MemoryUsage() + ledger +
+  return venue_->MemoryUsage() + graph_->MemoryUsage() +
+         checkpoints_.NumCheckpoints() * sizeof(double) +
          flips_.MemoryUsage() + router_->MemoryUsage();
 }
 

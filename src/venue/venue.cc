@@ -16,113 +16,173 @@ constexpr double kLocateCellMetres = 64.0;
 
 }  // namespace
 
+void Venue::Builder::DetachGeometry() {
+  if (shared_ == nullptr) return;
+  partitions_ = shared_->partitions;
+  doors_ = shared_->doors;
+  shared_.reset();
+}
+
+size_t Venue::Builder::NumDoors() const {
+  return shared_ != nullptr ? shared_->doors.size() : doors_.size();
+}
+
 PartitionId Venue::Builder::AddPartition(const Rect& rect, int floor) {
-  carried_.reset();
+  DetachGeometry();
   partitions_.push_back(Partition{rect, floor});
   return static_cast<PartitionId>(partitions_.size() - 1);
 }
 
 DoorId Venue::Builder::AddDoor(const Point2d& pos, int floor, PartitionId a,
                                PartitionId b) {
-  carried_.reset();
+  DetachGeometry();
   Door door;
   door.pos = pos;
   door.floor = floor;
   door.partitions = {a, b};
-  doors_.push_back(std::move(door));
+  doors_.push_back(door);
   return static_cast<DoorId>(doors_.size() - 1);
 }
 
 Status Venue::Builder::SetDoorAti(DoorId d,
                                   std::vector<TimeInterval> intervals) {
-  if (d < 0 || static_cast<size_t>(d) >= doors_.size()) {
+  if (d < 0 || static_cast<size_t>(d) >= NumDoors()) {
     return InvalidArgumentError("SetDoorAti: unknown door " +
                                 std::to_string(d));
   }
-  doors_[static_cast<size_t>(d)].ati_intervals = std::move(intervals);
+  // Generators set doors in ascending order, so this is an append.
+  const auto it = std::lower_bound(
+      ati_edits_.begin(), ati_edits_.end(), d,
+      [](const auto& edit, DoorId door) { return edit.first < door; });
+  if (it != ati_edits_.end() && it->first == d) {
+    it->second = std::move(intervals);
+  } else {
+    ati_edits_.emplace(it, d, std::move(intervals));
+  }
   return Status::Ok();
 }
 
 Venue::Builder Venue::Builder::FromVenue(const Venue& venue) {
   Builder builder;
-  builder.partitions_ = venue.partitions_;
-  builder.doors_ = venue.doors_;
-  CarriedGeometry carried;
-  carried.doors_of = venue.doors_of_;
-  carried.min_floor = venue.min_floor_;
-  carried.floor_index = venue.floor_index_;
-  builder.carried_ = std::move(carried);
+  builder.shared_ = venue.geometry_;
+  builder.ati_offsets_ = venue.ati_offsets_;
+  builder.ati_pool_ = venue.ati_pool_;
   return builder;
 }
 
 StatusOr<Venue> Venue::Builder::Build() && {
-  const auto num_partitions = static_cast<PartitionId>(partitions_.size());
-  for (size_t i = 0; i < partitions_.size(); ++i) {
-    const Rect& r = partitions_[i].rect;
-    if (r.width() <= 0 || r.height() <= 0) {
-      return InvalidArgumentError("partition " + std::to_string(i) +
-                                  " has a degenerate rectangle");
-    }
-  }
-  for (size_t i = 0; i < doors_.size(); ++i) {
-    const Door& d = doors_[i];
-    for (PartitionId p : d.partitions) {
-      if (p < 0 || p >= num_partitions) {
-        return InvalidArgumentError("door " + std::to_string(i) +
-                                    " references unknown partition " +
-                                    std::to_string(p));
+  Venue venue;
+  if (shared_ != nullptr) {
+    // Geometry untouched since FromVenue: it was validated when the
+    // source venue was built, and every derived structure is a pure
+    // function of it.
+    venue.geometry_ = std::move(shared_);
+  } else {
+    const auto num_partitions = static_cast<PartitionId>(partitions_.size());
+    for (size_t i = 0; i < partitions_.size(); ++i) {
+      const Rect& r = partitions_[i].rect;
+      if (r.width() <= 0 || r.height() <= 0) {
+        return InvalidArgumentError("partition " + std::to_string(i) +
+                                    " has a degenerate rectangle");
       }
     }
-    if (d.partitions[0] == d.partitions[1]) {
-      return InvalidArgumentError("door " + std::to_string(i) +
-                                  " connects a partition to itself");
+    for (size_t i = 0; i < doors_.size(); ++i) {
+      const Door& d = doors_[i];
+      for (PartitionId p : d.partitions) {
+        if (p < 0 || p >= num_partitions) {
+          return InvalidArgumentError("door " + std::to_string(i) +
+                                      " references unknown partition " +
+                                      std::to_string(p));
+        }
+      }
+      if (d.partitions[0] == d.partitions[1]) {
+        return InvalidArgumentError("door " + std::to_string(i) +
+                                    " connects a partition to itself");
+      }
     }
+    auto geometry = std::make_shared<Geometry>();
+    geometry->partitions = std::move(partitions_);
+    geometry->doors = std::move(doors_);
+    geometry->BuildDoorLists();
+    geometry->BuildLocationIndex();
+    venue.geometry_ = std::move(geometry);
   }
 
-  Venue venue;
-  venue.partitions_ = std::move(partitions_);
-  venue.doors_ = std::move(doors_);
-
-  // Geometry untouched since FromVenue: every derived structure (door
-  // lists, point-location grid) is a pure function
-  // of partitions + door positions, so adopt the carried-over copies
-  // instead of recomputing.
-  if (carried_.has_value()) {
-    venue.doors_of_ = std::move(carried_->doors_of);
-    venue.min_floor_ = carried_->min_floor;
-    venue.floor_index_ = std::move(carried_->floor_index);
+  // One merge pass: each door takes its edited row when SetDoorAti
+  // replaced it, else the source row (doors past the source's count
+  // start always open). Source rows between two edits move as one
+  // block.
+  const size_t n = venue.NumDoors();
+  if (ati_edits_.empty() && ati_offsets_.size() == n + 1) {
+    venue.ati_offsets_ = std::move(ati_offsets_);
+    venue.ati_pool_ = std::move(ati_pool_);
     return venue;
   }
-
-  venue.doors_of_.resize(venue.partitions_.size());
-  for (size_t d = 0; d < venue.doors_.size(); ++d) {
-    for (PartitionId p : venue.doors_[d].partitions) {
-      venue.doors_of_[static_cast<size_t>(p)].push_back(
-          static_cast<DoorId>(d));
+  const size_t source_doors =
+      ati_offsets_.empty() ? 0 : ati_offsets_.size() - 1;
+  std::vector<uint32_t>& offsets = venue.ati_offsets_;
+  std::vector<TimeInterval>& pool = venue.ati_pool_;
+  size_t total = ati_pool_.size();
+  for (const auto& [d, row] : ati_edits_) {
+    if (static_cast<size_t>(d) < source_doors) {
+      total -= ati_offsets_[static_cast<size_t>(d) + 1] -
+               ati_offsets_[static_cast<size_t>(d)];
     }
+    total += row.size();
   }
-
-  venue.BuildLocationIndex();
+  offsets.resize(n + 1);
+  pool.reserve(total);
+  size_t next = 0;  // first door whose row is not yet placed
+  auto keep_source_rows = [&](size_t end) {
+    const size_t last = std::min(end, source_doors);
+    if (next < last) {
+      const uint32_t from = ati_offsets_[next];
+      const auto base = static_cast<uint32_t>(pool.size());
+      pool.insert(pool.end(), ati_pool_.begin() + from,
+                  ati_pool_.begin() + ati_offsets_[last]);
+      for (; next < last; ++next) {
+        offsets[next] = ati_offsets_[next] - from + base;
+      }
+    }
+    for (; next < end; ++next) {
+      offsets[next] = static_cast<uint32_t>(pool.size());
+    }
+  };
+  for (const auto& [d, row] : ati_edits_) {
+    keep_source_rows(static_cast<size_t>(d));
+    offsets[next++] = static_cast<uint32_t>(pool.size());
+    pool.insert(pool.end(), row.begin(), row.end());
+  }
+  keep_source_rows(n);
+  offsets[n] = static_cast<uint32_t>(pool.size());
   return venue;
 }
 
-void Venue::BuildLocationIndex() {
-  if (partitions_.empty()) return;
-  int min_floor = partitions_[0].floor;
-  int max_floor = partitions_[0].floor;
-  for (const Partition& p : partitions_) {
+void Venue::Geometry::BuildDoorLists() {
+  doors_of.assign(partitions.size(), {});
+  for (size_t d = 0; d < doors.size(); ++d) {
+    for (PartitionId p : doors[d].partitions) {
+      doors_of[static_cast<size_t>(p)].push_back(static_cast<DoorId>(d));
+    }
+  }
+}
+
+void Venue::Geometry::BuildLocationIndex() {
+  if (partitions.empty()) return;
+  min_floor = partitions[0].floor;
+  int max_floor = partitions[0].floor;
+  for (const Partition& p : partitions) {
     min_floor = std::min(min_floor, p.floor);
     max_floor = std::max(max_floor, p.floor);
   }
-  min_floor_ = min_floor;
-  floor_index_.assign(static_cast<size_t>(max_floor - min_floor) + 1, {});
+  floor_index.assign(static_cast<size_t>(max_floor - min_floor) + 1, {});
 
   // Per-floor bounding box.
-  for (size_t f = 0; f < floor_index_.size(); ++f) {
-    const int floor = min_floor_ + static_cast<int>(f);
+  for (size_t f = 0; f < floor_index.size(); ++f) {
+    const int floor = min_floor + static_cast<int>(f);
     double min_x = 0, min_y = 0, max_x = 0, max_y = 0;
     bool any = false;
-    for (const Partition& p : partitions_) {
+    for (const Partition& p : partitions) {
       if (p.floor != floor) continue;
       if (!any) {
         min_x = p.rect.min_x;
@@ -137,7 +197,7 @@ void Venue::BuildLocationIndex() {
         max_y = std::max(max_y, p.rect.max_y);
       }
     }
-    FloorIndex& index = floor_index_[f];
+    FloorIndex& index = floor_index[f];
     index.origin_x = min_x;
     index.origin_y = min_y;
     index.cell = kLocateCellMetres;
@@ -152,9 +212,9 @@ void Venue::BuildLocationIndex() {
     index.cells.assign(static_cast<size_t>(index.cols) * index.rows, {});
   }
 
-  for (size_t pid = 0; pid < partitions_.size(); ++pid) {
-    const Partition& p = partitions_[pid];
-    FloorIndex& index = floor_index_[static_cast<size_t>(p.floor - min_floor_)];
+  for (size_t pid = 0; pid < partitions.size(); ++pid) {
+    const Partition& p = partitions[pid];
+    FloorIndex& index = floor_index[static_cast<size_t>(p.floor - min_floor)];
     const int c0 = std::clamp(
         static_cast<int>((p.rect.min_x - index.origin_x) / index.cell), 0,
         index.cols - 1);
@@ -178,9 +238,10 @@ void Venue::BuildLocationIndex() {
 
 std::vector<PartitionId> Venue::LocateAll(const IndoorPoint& point) const {
   std::vector<PartitionId> out;
-  const size_t f = static_cast<size_t>(point.floor - min_floor_);
-  if (point.floor < min_floor_ || f >= floor_index_.size()) return out;
-  const FloorIndex& index = floor_index_[f];
+  const Geometry& g = *geometry_;
+  const size_t f = static_cast<size_t>(point.floor - g.min_floor);
+  if (point.floor < g.min_floor || f >= g.floor_index.size()) return out;
+  const FloorIndex& index = g.floor_index[f];
   if (index.cols == 0 || index.rows == 0) return out;
   const int c = std::clamp(
       static_cast<int>((point.p.x - index.origin_x) / index.cell), 0,
@@ -190,7 +251,7 @@ std::vector<PartitionId> Venue::LocateAll(const IndoorPoint& point) const {
       index.rows - 1);
   for (PartitionId pid :
        index.cells[static_cast<size_t>(r) * index.cols + c]) {
-    if (partitions_[static_cast<size_t>(pid)].rect.Contains(point.p)) {
+    if (g.partitions[static_cast<size_t>(pid)].rect.Contains(point.p)) {
       out.push_back(pid);
     }
   }
@@ -198,15 +259,15 @@ std::vector<PartitionId> Venue::LocateAll(const IndoorPoint& point) const {
 }
 
 size_t Venue::MemoryUsage() const {
-  size_t total = partitions_.capacity() * sizeof(Partition) +
-                 doors_.capacity() * sizeof(Door);
-  for (const Door& d : doors_) {
-    total += d.ati_intervals.capacity() * sizeof(TimeInterval);
-  }
-  for (const auto& list : doors_of_) {
+  const Geometry& g = *geometry_;
+  size_t total = g.partitions.capacity() * sizeof(Partition) +
+                 g.doors.capacity() * sizeof(Door) +
+                 ati_offsets_.capacity() * sizeof(uint32_t) +
+                 ati_pool_.capacity() * sizeof(TimeInterval);
+  for (const auto& list : g.doors_of) {
     total += list.capacity() * sizeof(DoorId);
   }
-  for (const FloorIndex& index : floor_index_) {
+  for (const FloorIndex& index : g.floor_index) {
     total += index.cells.capacity() * sizeof(std::vector<PartitionId>);
     for (const auto& cell : index.cells) {
       total += cell.capacity() * sizeof(PartitionId);

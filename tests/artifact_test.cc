@@ -16,7 +16,9 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <iterator>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -490,6 +492,35 @@ TEST(ArtifactNegativeTest, MissingFileRejected) {
   ASSERT_FALSE(id.ok());
   EXPECT_EQ(id.status().code(), StatusCode::kNotFound);
   EXPECT_EQ(catalog.NumVenues(), 0u);
+}
+
+// Writers racing on one path (parallel test processes sharing a fixture
+// directory, or threads) each stage in their own file, so every write
+// succeeds and the survivor is one whole image.
+TEST(ArtifactTest, ConcurrentWritesOfOnePathAllSucceed) {
+  const std::string dir = TestDir("concurrent");
+  const std::string path = dir + "/a.itspq";
+  const Venue venue = MakeSmallVenue();
+  const std::vector<uint8_t> expect =
+      ValueOrDie(EncodeVenueArtifact(venue), "EncodeVenueArtifact");
+  for (int round = 0; round < 8; ++round) {
+    std::vector<Status> results(4, Status::Ok());
+    std::vector<std::thread> writers;
+    for (size_t t = 0; t < results.size(); ++t) {
+      writers.emplace_back([&, t] {
+        results[t] = WriteVenueArtifact(path, venue);
+      });
+    }
+    for (std::thread& w : writers) w.join();
+    for (const Status& status : results) {
+      EXPECT_TRUE(status.ok()) << status.ToString();
+    }
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                     std::istreambuf_iterator<char>());
+    EXPECT_EQ(bytes, expect) << "round " << round;
+    EXPECT_TRUE(LoadVenueArtifact(path).ok()) << "round " << round;
+  }
 }
 
 // The metadata round-trips: label, D2D flag, and the manifest loader's

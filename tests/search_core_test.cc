@@ -175,15 +175,20 @@ TEST(SearchCoreTest, CsrAdjacencyMatchesVenueWalk) {
   }
 }
 
-// The flat rows answer exactly as the AtiSets they were compiled from,
-// including boundaries, empty (always-open) rows, and wrapped times.
+// The flat rows answer exactly as an AtiSet normalised independently
+// from the venue's source intervals, including boundaries, empty
+// (always-open) rows, and wrapped times; the Ati(d) view holds the same
+// bounds.
 TEST(SearchCoreTest, FlatAtiRowsMatchAtiSets) {
   const CoreWorld world = MakeWorld(23);
   const ItGraph& graph = *world.graph;
   Rng rng(5);
   for (size_t d = 0; d < graph.NumDoors(); ++d) {
     const DoorId door = static_cast<DoorId>(d);
-    const AtiSet& ati = graph.Ati(door);
+    const AtiSet ati = ValueOrDie(
+        AtiSet::Create(world.venue->DoorAti(door).ToVector()), "AtiSet");
+    EXPECT_EQ(graph.Ati(door).starts().ToVector(), ati.starts());
+    EXPECT_EQ(graph.Ati(door).ends().ToVector(), ati.ends());
     for (int probe = 0; probe < 64; ++probe) {
       const double t = rng.UniformDouble(0, kSecondsPerDay);
       EXPECT_EQ(graph.AtiContainsTimeOfDay(door, t),

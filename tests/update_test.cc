@@ -1,5 +1,7 @@
 // The live-world update plane: ItGraph::BuildFrom copy-on-write,
-// the boundary-ledger flip index vs the probe-built one,
+// epochs sharing geometry and adjacency, spliced ATI rows and the
+// merge-patched ledger vs a fresh compile, the boundary-ledger flip
+// index vs the probe-built one,
 // UpdateApplier/VenueCatalog epoch transitions, snapshot carry and
 // targeted invalidation across versions, and the rebuild-equivalence
 // property — N online updates answer bit-identically to a from-scratch
@@ -177,6 +179,103 @@ TEST(VersionedGraphTest, LedgerStaysConsistentAcrossUpdates) {
     }
   }
   EXPECT_EQ(world->epoch(), 8u);
+}
+
+// Epoch N+1 aliases epoch N's venue geometry and compiled adjacency:
+// an ATI edit copies only the flat ATI tables.
+TEST(UpdateApplierTest, NextEpochSharesGeometryAndAdjacency) {
+  VenueCatalog catalog = MakeCatalog("itg-a+");
+  const std::shared_ptr<const VersionedGraph> before = catalog.world(0);
+  AtiUpdate update;
+  update.door_id = 7;
+  update.intervals = {MakeInterval(9, 30, 17, 45)};
+  ValueOrDie(catalog.ApplyAtiUpdate(update), "ApplyAtiUpdate");
+  const std::shared_ptr<const VersionedGraph> after = catalog.world(0);
+  ASSERT_NE(before.get(), after.get());
+  ASSERT_NE(after->venue().geometry_handle(), nullptr);
+  EXPECT_EQ(after->venue().geometry_handle().get(),
+            before->venue().geometry_handle().get());
+  EXPECT_EQ(after->graph().adjacency_handle().get(),
+            before->graph().adjacency_handle().get());
+  // The ATI tables are the epoch's own.
+  EXPECT_EQ(after->venue().DoorAti(7).size(), 1u);
+  EXPECT_NE(before->venue().DoorAti(7).data(),
+            after->venue().DoorAti(7).data());
+}
+
+/// `venue` rebuilt from nothing through a fresh Builder: every
+/// partition, door and source ATI row re-added, so no geometry or table
+/// is shared with it.
+Venue RebuildFromScratch(const Venue& venue) {
+  Venue::Builder builder;
+  for (size_t p = 0; p < venue.NumPartitions(); ++p) {
+    const Partition& part = venue.partition(static_cast<PartitionId>(p));
+    builder.AddPartition(part.rect, part.floor);
+  }
+  for (size_t d = 0; d < venue.NumDoors(); ++d) {
+    const Door& door = venue.door(static_cast<DoorId>(d));
+    builder.AddDoor(door.pos, door.floor, door.partitions[0],
+                    door.partitions[1]);
+  }
+  for (size_t d = 0; d < venue.NumDoors(); ++d) {
+    const Span<TimeInterval> row = venue.DoorAti(static_cast<DoorId>(d));
+    if (row.empty()) continue;
+    EXPECT_TRUE(
+        builder.SetDoorAti(static_cast<DoorId>(d), row.ToVector()).ok());
+  }
+  return ValueOrDie(std::move(builder).Build(), "Builder::Build");
+}
+
+// After a long random update stream the incrementally spliced ATI rows
+// and the merge-patched flip index are bit-identical to a from-scratch
+// compile of the same venue.
+TEST(UpdateApplierTest, PatchedRowsAndFlipIndexMatchFreshBuild) {
+  VenueCatalog catalog = MakeCatalog("itg-a+");
+  UpdateStreamConfig stream_config;
+  stream_config.num_updates = 200;
+  stream_config.seed = 91;
+  const std::vector<TimedAtiUpdate> stream =
+      ValueOrDie(GenerateUpdateStream(catalog, stream_config), "stream");
+  for (const TimedAtiUpdate& timed : stream) {
+    ValueOrDie(catalog.ApplyAtiUpdate(timed.update), "stream update");
+  }
+  const std::shared_ptr<const VersionedGraph> live = catalog.world(0);
+  ASSERT_EQ(live->epoch(), 200u);
+
+  const Venue fresh = RebuildFromScratch(live->venue());
+  ASSERT_NE(fresh.geometry_handle().get(),
+            live->venue().geometry_handle().get());
+  const ItGraph graph = ValueOrDie(ItGraph::Build(fresh), "ItGraph::Build");
+  ASSERT_EQ(graph.NumDoors(), live->graph().NumDoors());
+  for (size_t d = 0; d < graph.NumDoors(); ++d) {
+    const DoorId door = static_cast<DoorId>(d);
+    const Span<TimeInterval> a = live->venue().DoorAti(door);
+    const Span<TimeInterval> b = fresh.DoorAti(door);
+    ASSERT_EQ(a.size(), b.size()) << "door " << d;
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].start, b[i].start) << "door " << d;
+      EXPECT_EQ(a[i].end, b[i].end) << "door " << d;
+    }
+    EXPECT_EQ(live->graph().Ati(door).starts().ToVector(),
+              graph.Ati(door).starts().ToVector())
+        << "door " << d;
+    EXPECT_EQ(live->graph().Ati(door).ends().ToVector(),
+              graph.Ati(door).ends().ToVector())
+        << "door " << d;
+  }
+
+  const auto rebuilt =
+      ValueOrDie(VersionedGraph::Build(fresh, "itg-a+"), "Build");
+  EXPECT_EQ(live->checkpoints().times(), rebuilt->checkpoints().times());
+  const BoundaryFlipIndex& patched = live->flip_index();
+  const BoundaryFlipIndex& expect = rebuilt->flip_index();
+  ASSERT_EQ(patched.NumBoundaries(), expect.NumBoundaries());
+  EXPECT_EQ(patched.TotalFlips(), expect.TotalFlips());
+  for (size_t b = 0; b < expect.NumBoundaries(); ++b) {
+    EXPECT_EQ(std::vector<DoorId>(patched.FlipsBegin(b), patched.FlipsEnd(b)),
+              std::vector<DoorId>(expect.FlipsBegin(b), expect.FlipsEnd(b)))
+        << "boundary " << b;
+  }
 }
 
 TEST(UpdateApplierTest, ErrorsLeaveCatalogOnCurrentEpoch) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "itgraph/csr_adjacency.h"
 #include "venue/venue.h"
@@ -105,8 +106,43 @@ TEST(VenueBuilderTest, SetDoorAtiValidatesDoorId) {
   EXPECT_FALSE(builder.SetDoorAti(99, {}).ok());
   auto venue = std::move(builder).Build();
   ASSERT_TRUE(venue.ok());
-  EXPECT_EQ(venue->door(0).ati_intervals.size(), 1u);
-  EXPECT_TRUE(venue->door(1).ati_intervals.empty());
+  EXPECT_EQ(venue->DoorAti(0).size(), 1u);
+  EXPECT_TRUE(venue->DoorAti(1).empty());
+}
+
+// An edit-only derivation shares the source's geometry block; adding a
+// partition or door detaches it, keeps the source ATI rows, and starts
+// the new door always open until SetDoorAti.
+TEST(VenueBuilderTest, FromVenueSharesGeometryUntilAGeometryEdit) {
+  Venue::Builder edit = Venue::Builder::FromVenue(MakeTinyVenue());
+  ASSERT_TRUE(edit.SetDoorAti(1, {MakeInterval(8, 0, 20, 0)}).ok());
+  auto built = std::move(edit).Build();
+  ASSERT_TRUE(built.ok());
+  const Venue source = *std::move(built);
+
+  Venue::Builder same = Venue::Builder::FromVenue(source);
+  ASSERT_TRUE(same.SetDoorAti(0, {MakeInterval(9, 0, 17, 0)}).ok());
+  built = std::move(same).Build();
+  ASSERT_TRUE(built.ok());
+  const Venue edited = *std::move(built);
+  EXPECT_EQ(edited.geometry_handle().get(), source.geometry_handle().get());
+  EXPECT_EQ(edited.DoorAti(0).size(), 1u);
+  EXPECT_EQ(edited.DoorAti(1).size(), 1u);
+  EXPECT_TRUE(source.DoorAti(0).empty());
+
+  Venue::Builder grow = Venue::Builder::FromVenue(source);
+  const PartitionId annex = grow.AddPartition(Rect{20, 0, 30, 10}, 0);
+  const DoorId door = grow.AddDoor(Point2d{20, 5}, 0, 1, annex);
+  built = std::move(grow).Build();
+  ASSERT_TRUE(built.ok());
+  const Venue grown = *std::move(built);
+  EXPECT_NE(grown.geometry_handle().get(), source.geometry_handle().get());
+  ASSERT_EQ(grown.NumDoors(), 3u);
+  EXPECT_TRUE(grown.DoorAti(0).empty());
+  ASSERT_EQ(grown.DoorAti(1).size(), 1u);
+  EXPECT_EQ(grown.DoorAti(1)[0].start, MakeInterval(8, 0, 20, 0).start);
+  EXPECT_TRUE(grown.DoorAti(door).empty());
+  EXPECT_EQ(grown.DoorsOf(annex), std::vector<DoorId>{door});
 }
 
 TEST(VenueBuilderTest, FromVenueRoundTrips) {
