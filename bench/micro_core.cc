@@ -114,9 +114,11 @@ BENCHMARK(BM_CsrAdjacencyCompile);
 void BM_ApplyAtiUpdate(benchmark::State& state) {
   // The write path as the search_families probe drives it: the paper
   // mall (|T| = 8) as an itg-a+ and an itg-a shard, committing one fixed
-  // pre-generated update stream. Replacement hours add checkpoints, so
-  // a fresh catalog every kCommits keeps |T| at its realistic size.
-  constexpr size_t kCommits = 100;
+  // pre-generated update stream. Replacement hours add checkpoints, so a
+  // fresh catalog every Arg commits bounds |T|: 100 keeps it at its
+  // realistic size, 1000 grows it to hundreds, where a commit that is
+  // not linear in |T| shows.
+  const size_t commits = static_cast<size_t>(state.range(0));
   static World* paper = new World(BuildWorld(kDefaultT, /*floors=*/5));
   auto make_catalog = [] {
     auto catalog = std::make_unique<VenueCatalog>();
@@ -127,28 +129,25 @@ void BM_ApplyAtiUpdate(benchmark::State& state) {
     }
     return catalog;
   };
-  static std::vector<TimedAtiUpdate>* stream = [&] {
-    UpdateStreamConfig config;
-    config.num_updates = static_cast<int>(kCommits);
-    config.seed = 1;
-    auto updates = GenerateUpdateStream(*make_catalog(), config);
-    if (!updates.ok()) std::abort();
-    return new std::vector<TimedAtiUpdate>(*std::move(updates));
-  }();
+  UpdateStreamConfig config;
+  config.num_updates = static_cast<int>(commits);
+  config.seed = 1;
+  auto stream = GenerateUpdateStream(*make_catalog(), config);
+  if (!stream.ok()) std::abort();
   std::unique_ptr<VenueCatalog> catalog;
   size_t i = 0;
   for (auto _ : state) {
-    if (i % kCommits == 0) {
+    if (i % commits == 0) {
       state.PauseTiming();
       catalog = make_catalog();
       state.ResumeTiming();
     }
     benchmark::DoNotOptimize(
-        catalog->ApplyAtiUpdate((*stream)[i % kCommits].update));
+        catalog->ApplyAtiUpdate((*stream)[i % commits].update));
     ++i;
   }
 }
-BENCHMARK(BM_ApplyAtiUpdate);
+BENCHMARK(BM_ApplyAtiUpdate)->Arg(100)->Arg(1000);
 
 void BM_FrontierQueue(benchmark::State& state) {
   // A synthetic Dijkstra-shaped workload: pushes drift upward from the

@@ -70,15 +70,16 @@ inline constexpr ptrdiff_t kNoCarrySource = -1;
 
 /// Warm-start state for rebuilding a store (and its router) after an
 /// online ATI update — produced by UpdateApplier (update/update_applier.h)
-/// from the venue's previous VersionedGraph. All pointers are borrowed
-/// for the duration of construction only.
+/// from the venue's previous VersionedGraph. All pointers but
+/// flip_index are borrowed for the duration of construction only.
 struct SnapshotWarmStart {
   /// The new graph's checkpoint set, derived incrementally by the update
   /// plane. Router adopts it verbatim instead of re-deriving FromGraph.
   const CheckpointSet* checkpoints = nullptr;
-  /// Flip index of (new graph, checkpoints), patched incrementally;
-  /// copied into the store so the first delta build never pays the
-  /// O(intervals x doors) probe.
+  /// Flip index of (new graph, checkpoints), patched incrementally. The
+  /// store borrows it for its lifetime (its owner, the VersionedGraph,
+  /// outlives the router), so no delta build pays the O(intervals x
+  /// doors) probe and the index is never copied.
   const BoundaryFlipIndex* flip_index = nullptr;
   /// The previous version's store; resident snapshots carry across.
   const SnapshotStore* carry_from = nullptr;
@@ -198,7 +199,8 @@ class SnapshotStore {
   /// another shard's router) can never alias a previous store.
   uint64_t id() const { return id_; }
 
-  /// Store overhead + resident snapshots + the flip index.
+  /// Store overhead + resident snapshots + a flip index the store built
+  /// itself (a borrowed one is its owner's to count).
   size_t MemoryUsage() const;
 
   /// The per-boundary flip lists delta builds apply. Built at most
@@ -211,8 +213,9 @@ class SnapshotStore {
   /// evicting `protect`.
   void EvictToFitLocked(size_t budget, size_t protect) const;
 
-  /// Builds flips_ at most once, OUTSIDE mu_ — the O(intervals x doors)
-  /// build must never stall concurrent readers of resident snapshots.
+  /// The borrowed warm-start index, else own_flips_, built at most
+  /// once OUTSIDE mu_ — the O(intervals x doors) build must never stall
+  /// concurrent readers of resident snapshots.
   const BoundaryFlipIndex& EnsureFlips() const;
 
   const ItGraph* graph_;
@@ -221,11 +224,13 @@ class SnapshotStore {
   /// mutable: SetBudget is const (stores live behind const routers once
   /// published) and re-targets budget_bytes under mu_.
   mutable SnapshotStoreOptions options_;
+  /// The warm start's flip index; null when the store builds its own.
+  const BoundaryFlipIndex* borrowed_flips_ = nullptr;
   mutable std::once_flag flips_once_;
-  /// Set (release) after flips_ is built; lets MemoryUsage read the
+  /// Set (release) after own_flips_ is built; lets MemoryUsage read the
   /// index size without forcing a build.
   mutable std::atomic<bool> flips_built_{false};
-  mutable BoundaryFlipIndex flips_;
+  mutable BoundaryFlipIndex own_flips_;
 
   mutable std::mutex mu_;
   /// One slot per interval; null when not resident. Guarded by mu_.

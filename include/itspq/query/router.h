@@ -93,7 +93,8 @@ struct RouterBuildOptions {
   /// (update/update_applier.h): the router adopts the precomputed
   /// checkpoint set and flip index instead of re-deriving them from the
   /// graph, and its snapshot store carries resident snapshots from the
-  /// previous version. Borrowed for construction only — never stored.
+  /// previous version. Borrowed for construction only; the store keeps
+  /// pointing at its flip index (see SnapshotWarmStart).
   const SnapshotWarmStart* warm_start = nullptr;
   /// The VenueId this router answers for. Route() accepts requests
   /// whose venue_id is 0 (unaddressed) or equals the bound id, and

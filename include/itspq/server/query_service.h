@@ -78,11 +78,15 @@
 // everything already admitted whose deadline still allows, waits for
 // routes running on callers' threads, and joins the workers.
 //
-// The service is also the write plane's front door: SubmitUpdate()
-// feeds online ATI mutations through a bounded queue drained by one
-// dedicated updater thread (strict FIFO, one epoch transition at a
-// time), while queries keep flowing — reads pin their epoch, writes
-// publish the next one RCU-style (see query/venue_catalog.h).
+// The service is also the write plane's front door. SubmitUpdate()
+// runs writes to completion too: it applies an online ATI mutation on
+// the calling thread and returns an already-ready future. Queries keep
+// flowing meanwhile — reads pin their epoch, writes publish the next
+// one RCU-style (see query/venue_catalog.h). The catalog serialises
+// writers per venue, so writes to different venues apply in parallel.
+// Each caller's writes apply in its own submission order; concurrent
+// callers have no defined order between them (arrival order at the
+// venue's writer lock decides).
 
 #include <array>
 #include <atomic>
@@ -167,9 +171,11 @@ struct ServiceOptions {
   /// deadline. Engages only once an EWMA exists, so cold starts and
   /// paused tests admit everything.
   bool feasibility_shedding = true;
-  /// Bound on the update queue SubmitUpdate feeds; submits beyond it
-  /// bounce with kResourceExhausted. Updates are orders of magnitude
-  /// rarer than queries, so the default is small.
+  /// Cap on SubmitUpdate calls applying at once, each on its caller's
+  /// thread (writers to one venue wait their turn at its shard and
+  /// count meanwhile); a submit beyond it bounces with
+  /// kResourceExhausted. Updates are orders of magnitude rarer than
+  /// queries, so the default is small.
   size_t update_queue_capacity = 64;
   /// Start with dispatch paused: requests are admitted (and rejected
   /// under backpressure) but nothing is served until Resume() or
@@ -218,9 +224,9 @@ struct ServiceStats {
   size_t served_found = 0;
   size_t route_errors = 0;
 
-  /// Write path: SubmitUpdate calls, updates committed by the updater
-  /// thread, and ones that failed anywhere (queue full, shutdown, or
-  /// ApplyAtiUpdate error). After Shutdown:
+  /// Write path: SubmitUpdate calls, updates committed, and ones that
+  /// failed anywhere (in-flight cap, shutdown, or ApplyAtiUpdate
+  /// error). After Shutdown:
   ///   updates_submitted == updates_applied + updates_rejected.
   size_t updates_submitted = 0;
   size_t updates_applied = 0;
@@ -302,19 +308,20 @@ class QueryService {
                                             double deadline_micros,
                                             QosClass qos);
 
-  /// Submits one online ATI mutation. Updates drain through a dedicated
-  /// updater thread in strict FIFO order (one ApplyAtiUpdate at a time
-  /// service-wide), so reads never block on writes and writers never
-  /// starve behind query batches. The future resolves with the commit
-  /// status:
+  /// Applies one online ATI mutation on the calling thread and returns
+  /// an already-ready future holding the commit status. Reads never
+  /// block on it; it waits only for an earlier write to the same venue.
+  /// A caller's writes apply in the order it submits them; concurrent
+  /// callers have no defined order between them. Status:
   ///   kOk                 — the new epoch is published; queries
-  ///                         submitted after the future resolves see it.
-  ///   kResourceExhausted  — update queue full (backpressure).
+  ///                         submitted after this returns see it.
+  ///   kResourceExhausted  — update_queue_capacity applies already in
+  ///                         flight (backpressure).
   ///   kFailedPrecondition — service already shut down.
   ///   kNotFound           — unknown venue_id or door_id.
   ///   kInvalidArgument    — replacement intervals fail normalisation.
-  /// The updater ignores start_paused — pausing gates query dispatch
-  /// only, so an update stream keeps flowing under a paused service.
+  /// start_paused gates query dispatch only: writes apply under a
+  /// paused service too. Thread-safe.
   std::future<Status> SubmitUpdate(const AtiUpdate& update);
 
   /// Lifts start_paused: workers begin draining. No-op when already
@@ -323,10 +330,9 @@ class QueryService {
 
   /// Stops admission, serves every already-admitted request whose
   /// deadline still allows (rejecting the rest with kDeadlineExceeded),
-  /// applies every already-admitted update, waits for routes already
-  /// running on Submit() callers' threads, and joins the workers plus
-  /// the updater. Idempotent; concurrent callers block until the drain
-  /// completes.
+  /// waits for routes and updates already running on callers' threads,
+  /// and joins the workers. Idempotent; concurrent callers block until
+  /// the drain completes.
   void Shutdown();
 
   /// Point-in-time counters; safe to call while traffic is in flight.
@@ -354,11 +360,6 @@ class QueryService {
     std::promise<StatusOr<QueryResult>> promise;
   };
 
-  struct PendingUpdate {
-    AtiUpdate update;
-    std::promise<Status> promise;
-  };
-
   QueryService(VenueCatalog catalog, ServiceOptions options);
 
   void WorkerLoop();
@@ -376,9 +377,6 @@ class QueryService {
   /// Returns an inline caller's slot; wakes a worker when work queued
   /// up meanwhile, and Shutdown when it is waiting for inline routes.
   void ReleaseInlineSlot(RouteSlot* slot);
-  /// The dedicated writer: drains the update queue FIFO, one
-  /// ApplyAtiUpdate at a time.
-  void UpdaterLoop();
 
   size_t TotalQueuedLocked() const;
   /// The admission limit currently in force: queue_capacity, shrunk by
@@ -407,13 +405,13 @@ class QueryService {
   std::once_flag join_once_;
   std::vector<std::thread> workers_;
 
-  // The write plane: its own queue, lock, and single updater thread so
-  // updates never contend with query admission on mu_.
+  // The write plane's admission: its own lock, so updates never contend
+  // with query admission on mu_. update_cv_ wakes Shutdown when the
+  // last in-flight apply finishes.
   mutable std::mutex update_mu_;
   std::condition_variable update_cv_;
-  std::deque<PendingUpdate> update_queue_;  // guarded by update_mu_
-  bool update_draining_ = false;            // guarded by update_mu_
-  std::thread updater_;
+  size_t updates_in_flight_ = 0;  // guarded by update_mu_
+  bool update_draining_ = false;  // guarded by update_mu_
 
   std::atomic<size_t> submitted_{0};
   std::atomic<size_t> admitted_{0};

@@ -33,10 +33,6 @@ struct AtiUpdate {
 struct UpdateOutcome {
   /// The epoch the shard now serves (previous epoch + 1).
   uint64_t epoch = 0;
-  /// Checkpoint churn: boundaries only the old ATI contributed
-  /// (removed) and ones only the new ATI contributes (added).
-  size_t checkpoints_removed = 0;
-  size_t checkpoints_added = 0;
   /// Constant-graph interval counts before and after.
   size_t intervals_before = 0;
   size_t intervals_after = 0;

@@ -18,8 +18,9 @@
 //                  flip index moves the door's entries from its old
 //                  boundaries to its new ones (dropping times no other
 //                  door contributes); no (interval x door) re-probe.
-//   snapshots    — a carry plan maps each new interval to the old
-//                  interval spanning the identical time range; resident
+//   snapshots    — a carry plan (one forward walk over both checkpoint
+//                  lists) maps each new interval to the old interval
+//                  spanning the identical time range; resident
 //                  snapshots carry their shared_ptr slots across unless
 //                  the changed door's applicability differs there
 //                  (SnapshotStore warm start / InvalidateIntervals).
@@ -30,13 +31,26 @@
 // door-count term is copying a handful of flat arrays (memcpy-speed),
 // so the paper's Graph_Update economics extend to writes.
 
+#include <cstddef>
 #include <memory>
+#include <vector>
 
 #include "common/status.h"
+#include "itgraph/ati.h"
 #include "update/ati_update.h"
 #include "update/versioned_graph.h"
 
 namespace itspq {
+
+/// The snapshot carry plan (SnapshotWarmStart::carry_plan, and the
+/// carried intervals to `invalidate`) for one door's ATI changing from
+/// `old_door_ati` to `new_door_ati`, moving the sorted checkpoint times
+/// from `old_times` to `new_times`. O(|T|).
+std::vector<ptrdiff_t> PlanSnapshotCarry(const std::vector<double>& old_times,
+                                         const std::vector<double>& new_times,
+                                         AtiView old_door_ati,
+                                         AtiView new_door_ati,
+                                         std::vector<size_t>* invalidate);
 
 class UpdateApplier {
  public:

@@ -177,14 +177,7 @@ SnapshotStore::SnapshotStore(const ItGraph& graph, const CheckpointSet& cps,
   options_.policy = policy_->name();
   if (warm == nullptr) return;
 
-  if (warm->flip_index != nullptr) {
-    // Adopt the incrementally patched index; call_once so a later
-    // EnsureFlips is a no-op rather than a second build.
-    std::call_once(flips_once_, [this, warm] {
-      flips_ = *warm->flip_index;
-      flips_built_.store(true, std::memory_order_release);
-    });
-  }
+  borrowed_flips_ = warm->flip_index;
 
   if (warm->carry_from == nullptr || warm->carry_plan.empty()) return;
   const SnapshotStore& prev = *warm->carry_from;
@@ -230,11 +223,12 @@ SnapshotStore::SnapshotStore(const ItGraph& graph, const CheckpointSet& cps,
 }
 
 const BoundaryFlipIndex& SnapshotStore::EnsureFlips() const {
+  if (borrowed_flips_ != nullptr) return *borrowed_flips_;
   std::call_once(flips_once_, [this] {
-    flips_ = BoundaryFlipIndex::Build(*graph_, *cps_);
+    own_flips_ = BoundaryFlipIndex::Build(*graph_, *cps_);
     flips_built_.store(true, std::memory_order_release);
   });
-  return flips_;
+  return own_flips_;
 }
 
 std::shared_ptr<const GraphSnapshot> SnapshotStore::Get(
@@ -352,7 +346,7 @@ CacheStatsSnapshot SnapshotStore::Stats() const {
 
 size_t SnapshotStore::MemoryUsage() const {
   const size_t flips_bytes = flips_built_.load(std::memory_order_acquire)
-                                 ? flips_.MemoryUsage()
+                                 ? own_flips_.MemoryUsage()
                                  : 0;
   std::lock_guard<std::mutex> lock(mu_);
   return slots_.capacity() * sizeof(slots_[0]) + resident_bytes_ +

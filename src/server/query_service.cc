@@ -39,7 +39,6 @@ QueryService::QueryService(VenueCatalog catalog, ServiceOptions options)
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
-  updater_ = std::thread([this] { UpdaterLoop(); });
 }
 
 QueryService::~QueryService() { Shutdown(); }
@@ -249,55 +248,39 @@ void QueryService::ReleaseInlineSlot(RouteSlot* slot) {
 
 std::future<Status> QueryService::SubmitUpdate(const AtiUpdate& update) {
   updates_submitted_.fetch_add(1, kRelaxed);
-
-  PendingUpdate pending;
-  pending.update = update;
-  std::future<Status> future = pending.promise.get_future();
-
-  Status rejection;
+  Status status;
   {
     std::lock_guard<std::mutex> lock(update_mu_);
     if (update_draining_) {
-      rejection = FailedPreconditionError("query service is shut down");
-    } else if (update_queue_.size() >= options_.update_queue_capacity) {
-      rejection = ResourceExhaustedError("update queue is full");
+      status = FailedPreconditionError("query service is shut down");
+    } else if (updates_in_flight_ >= options_.update_queue_capacity) {
+      status = ResourceExhaustedError("too many updates in flight");
     } else {
-      update_queue_.push_back(std::move(pending));
+      ++updates_in_flight_;
     }
   }
-  if (!rejection.ok()) {
+  if (!status.ok()) {
     updates_rejected_.fetch_add(1, kRelaxed);
-    pending.promise.set_value(std::move(rejection));
   } else {
-    update_cv_.notify_one();
+    // Run to completion: the epoch transition runs here, on the caller's
+    // thread. The catalog serialises writers per shard, so writes to
+    // different venues apply in parallel. The in-flight count drops even
+    // if the apply throws: Shutdown waits for it to reach zero.
+    struct InFlight {
+      QueryService* service;
+      ~InFlight() {
+        std::lock_guard<std::mutex> lock(service->update_mu_);
+        if (--service->updates_in_flight_ == 0 && service->update_draining_) {
+          service->update_cv_.notify_all();
+        }
+      }
+    } in_flight{this};
+    status = catalog_.ApplyAtiUpdate(update).status();
+    (status.ok() ? updates_applied_ : updates_rejected_).fetch_add(1, kRelaxed);
   }
-  return future;
-}
-
-void QueryService::UpdaterLoop() {
-  for (;;) {
-    PendingUpdate pending;
-    {
-      std::unique_lock<std::mutex> lock(update_mu_);
-      update_cv_.wait(lock, [this] {
-        return update_draining_ || !update_queue_.empty();
-      });
-      // Drain-to-empty before exiting: every admitted update commits.
-      if (update_queue_.empty()) return;
-      pending = std::move(update_queue_.front());
-      update_queue_.pop_front();
-    }
-    // The epoch transition runs outside update_mu_ so SubmitUpdate
-    // admission never blocks on an in-flight apply; FIFO order is
-    // preserved because this is the only consumer.
-    Status status = catalog_.ApplyAtiUpdate(pending.update).status();
-    if (status.ok()) {
-      updates_applied_.fetch_add(1, kRelaxed);
-    } else {
-      updates_rejected_.fetch_add(1, kRelaxed);
-    }
-    pending.promise.set_value(std::move(status));
-  }
+  std::promise<Status> promise;
+  promise.set_value(std::move(status));
+  return promise.get_future();
 }
 
 void QueryService::Resume() {
@@ -315,15 +298,16 @@ void QueryService::Shutdown() {
     paused_ = false;
   }
   cv_.notify_all();
+  // Writes apply on their callers' threads: stop admitting them, then
+  // wait for the ones already applying, so every SubmitUpdate future is
+  // resolved (and counted) by the time Shutdown returns.
   {
-    std::lock_guard<std::mutex> lock(update_mu_);
+    std::unique_lock<std::mutex> lock(update_mu_);
     update_draining_ = true;
+    update_cv_.wait(lock, [this] { return updates_in_flight_ == 0; });
   }
-  update_cv_.notify_all();
   // Exactly one caller joins; concurrent Shutdowns block here until the
   // drain completes, so "Shutdown returned" always means "quiesced".
-  // The updater drains its admitted queue before exiting, so every
-  // SubmitUpdate future is resolved by the time Shutdown returns.
   // Workers exit once the queue is empty; routes still running on
   // Submit() callers' threads hold slots, so waiting for every slot to
   // come back covers them (draining_ lets no new one start).
@@ -333,7 +317,6 @@ void QueryService::Shutdown() {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return free_slots_.size() == slots_.size(); });
     }
-    updater_.join();
   });
 }
 

@@ -70,6 +70,36 @@ BoundaryFlipIndex PatchLedger(const std::vector<double>& times,
 
 }  // namespace
 
+std::vector<ptrdiff_t> PlanSnapshotCarry(const std::vector<double>& old_times,
+                                         const std::vector<double>& new_times,
+                                         AtiView old_door_ati,
+                                         AtiView new_door_ati,
+                                         std::vector<size_t>* invalidate) {
+  // New interval j carries from old interval i iff their spans are the
+  // SAME [lo, hi) — unchanged boundary times are identical doubles, so
+  // exact equality is the right test. The only candidate is the old
+  // interval holding span.lo, i = upper_bound(old_times, span.lo), and
+  // span.lo ascends with j: one forward walk finds every candidate. A
+  // matched span contains no checkpoint of either world, hence both
+  // door ATIs are constant across it and one midpoint probe decides
+  // whether the open-door set changed there (-> invalidate).
+  std::vector<ptrdiff_t> plan(new_times.size() + 1, kNoCarrySource);
+  size_t i = 0;
+  for (size_t j = 0; j <= new_times.size(); ++j) {
+    const IntervalSpan span = SpanOf(new_times, j);
+    while (i < old_times.size() && old_times[i] <= span.lo) ++i;
+    const IntervalSpan old_span = SpanOf(old_times, i);
+    if (old_span.lo != span.lo || old_span.hi != span.hi) continue;
+    plan[j] = static_cast<ptrdiff_t>(i);
+    const double mid = (span.lo + span.hi) * 0.5;
+    if (old_door_ati.ContainsTimeOfDay(mid) !=
+        new_door_ati.ContainsTimeOfDay(mid)) {
+      invalidate->push_back(j);
+    }
+  }
+  return plan;
+}
+
 StatusOr<std::shared_ptr<const VersionedGraph>> UpdateApplier::Apply(
     const VersionedGraph& current, const AtiUpdate& update,
     UpdateOutcome* outcome) {
@@ -123,47 +153,18 @@ StatusOr<std::shared_ptr<const VersionedGraph>> UpdateApplier::Apply(
   if (!cps.ok()) return cps.status();
   next->checkpoints_ = *std::move(cps);
 
-  // Carry plan: new interval j carries from old interval i iff their
-  // spans are the SAME [lo, hi) — unchanged boundary times are
-  // identical doubles, so exact equality is the right test. A matched
-  // span contains no checkpoint of either world, hence both the old and
-  // the new door ATI are constant across it and one midpoint probe
-  // decides whether the open-door set changed there (-> invalidate).
   const std::vector<double>& old_times = current.checkpoints_.times();
   const std::vector<double>& new_times = next->checkpoints_.times();
-  std::vector<ptrdiff_t> carry_plan(new_times.size() + 1, kNoCarrySource);
   std::vector<size_t> invalidate;
-  const AtiView old_door_ati = current.graph().Ati(door);
-  for (size_t j = 0; j <= new_times.size(); ++j) {
-    const IntervalSpan span = SpanOf(new_times, j);
-    const double mid = (span.lo + span.hi) * 0.5;
-    const size_t i = static_cast<size_t>(
-        std::upper_bound(old_times.begin(), old_times.end(), mid) -
-        old_times.begin());
-    const IntervalSpan old_span = SpanOf(old_times, i);
-    if (old_span.lo != span.lo || old_span.hi != span.hi) continue;
-    carry_plan[j] = static_cast<ptrdiff_t>(i);
-    if (old_door_ati.ContainsTimeOfDay(mid) !=
-        new_ati->ContainsTimeOfDay(mid)) {
-      invalidate.push_back(j);
-    }
-  }
+  std::vector<ptrdiff_t> carry_plan =
+      PlanSnapshotCarry(old_times, new_times, current.graph().Ati(door),
+                        new_ati->view(), &invalidate);
 
   if (outcome != nullptr) {
     *outcome = UpdateOutcome();
     outcome->epoch = next->epoch_;
     outcome->intervals_before = old_times.size() + 1;
     outcome->intervals_after = new_times.size() + 1;
-    for (double t : old_times) {
-      if (!std::binary_search(new_times.begin(), new_times.end(), t)) {
-        ++outcome->checkpoints_removed;
-      }
-    }
-    for (double t : new_times) {
-      if (!std::binary_search(old_times.begin(), old_times.end(), t)) {
-        ++outcome->checkpoints_added;
-      }
-    }
   }
 
   Status status = next->FinishBuild(old_store, std::move(carry_plan),

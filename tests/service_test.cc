@@ -35,6 +35,7 @@
 #include "query/router.h"
 #include "query/venue_catalog.h"
 #include "server/query_service.h"
+#include "update/ati_update.h"
 
 namespace itspq {
 namespace {
@@ -112,6 +113,29 @@ void ExpectBitIdentical(const QueryResult& served, const QueryResult& direct,
   }
 }
 
+AtiUpdate MakeUpdate(VenueId venue, DoorId door,
+                     std::vector<TimeInterval> intervals) {
+  AtiUpdate update;
+  update.venue_id = venue;
+  update.door_id = door;
+  update.intervals = std::move(intervals);
+  return update;
+}
+
+bool IsReady(const std::future<Status>& future) {
+  return future.wait_for(std::chrono::seconds(0)) ==
+         std::future_status::ready;
+}
+
+void ExpectUpdateLedger(const ServiceStats& stats, size_t applied,
+                        size_t rejected) {
+  EXPECT_EQ(stats.updates_applied, applied);
+  EXPECT_EQ(stats.updates_rejected, rejected);
+  EXPECT_EQ(stats.updates_submitted,
+            stats.updates_applied + stats.updates_rejected);
+  EXPECT_EQ(stats.catalog.total_updates_applied, applied);
+}
+
 // Parks every route until the test opens it, and records how many
 // routes were parked at once.
 class RouteGate {
@@ -177,19 +201,13 @@ class GatedRouter : public Router {
   RouteGate* gate_;
 };
 
-// A one-venue service whose only shard routes through `gate`. The
-// registry must outlive the service (the catalog keeps it for rebuilds).
-std::unique_ptr<QueryService> MakeGatedService(ServiceOptions options,
-                                               RouteGate* gate,
-                                               RouterRegistry* registry) {
-  auto factory = [gate](const ItGraph& graph,
-                        const RouterBuildOptions& build) {
-    std::unique_ptr<Router> inner = ValueOrDie(
-        RouterRegistry::Global().Create("itg-s", graph, build), "itg-s");
-    return std::unique_ptr<Router>(
-        std::make_unique<GatedRouter>(graph, std::move(inner), gate));
-  };
-  EXPECT_TRUE(registry->Register("gated", factory).ok());
+// A one-venue service whose only shard builds its routers with
+// `factory`, registered as "gated". The registry must outlive the
+// service (the catalog keeps it for rebuilds).
+std::unique_ptr<QueryService> MakeOneVenueService(
+    ServiceOptions options, RouterRegistry* registry,
+    RouterRegistry::Factory factory) {
+  EXPECT_TRUE(registry->Register("gated", std::move(factory)).ok());
   FleetConfig config;
   config.num_venues = 1;
   config.seed = 7;
@@ -203,6 +221,39 @@ std::unique_ptr<QueryService> MakeGatedService(ServiceOptions options,
                    "AddVenue");
   return ValueOrDie(MakeQueryService(std::move(catalog), options),
                     "MakeQueryService");
+}
+
+// A one-venue service whose only shard routes through `gate`.
+std::unique_ptr<QueryService> MakeGatedService(ServiceOptions options,
+                                               RouteGate* gate,
+                                               RouterRegistry* registry) {
+  return MakeOneVenueService(
+      options, registry,
+      [gate](const ItGraph& graph, const RouterBuildOptions& build) {
+        std::unique_ptr<Router> inner = ValueOrDie(
+            RouterRegistry::Global().Create("itg-s", graph, build), "itg-s");
+        return std::unique_ptr<Router>(
+            std::make_unique<GatedRouter>(graph, std::move(inner), gate));
+      });
+}
+
+// A one-venue service whose epoch transitions park in `gate`: every
+// router build after AddVenue's first one waits there, so an apply
+// holds open on its caller's thread until the gate opens.
+std::unique_ptr<QueryService> MakeGatedApplyService(ServiceOptions options,
+                                                    RouteGate* gate,
+                                                    RouterRegistry* registry) {
+  auto builds = std::make_shared<std::atomic<int>>(0);
+  return MakeOneVenueService(
+      options, registry,
+      [gate, builds](const ItGraph& graph, const RouterBuildOptions& build) {
+        if (builds->fetch_add(1) > 0) {
+          gate->Enter();
+          gate->Exit();
+        }
+        return ValueOrDie(
+            RouterRegistry::Global().Create("itg-s", graph, build), "itg-s");
+      });
 }
 
 TEST(MakeQueryServiceTest, ValidatesCatalogAndOptions) {
@@ -1203,6 +1254,209 @@ TEST(QueryServiceFamilyTest, UnknownKindRejectedAtAdmission) {
     EXPECT_EQ(stats.submitted_by_kind[kind], 0u) << "kind " << kind;
     EXPECT_EQ(stats.served_by_kind[kind], 0u) << "kind " << kind;
   }
+}
+
+// SubmitUpdate applies on the caller's thread: the future is ready when
+// it returns, and a query submitted next routes on the new epoch.
+TEST(QueryServiceUpdateTest, ReadyFutureAndLaterQueriesSeeTheNewEpoch) {
+  std::unique_ptr<QueryService> service = MakeService(ServiceOptions());
+  const std::vector<QueryRequest> requests =
+      MakeWorkload(service->catalog(), 64);
+  constexpr VenueId kVenue = 1;
+  std::vector<StatusOr<QueryResult>> before;
+  std::vector<size_t> hits(service->catalog().venue(kVenue).NumDoors(), 0);
+  for (const QueryRequest& request : requests) {
+    before.push_back(service->Submit(request).get());
+    if (request.venue_id != kVenue || !before.back().ok() ||
+        !before.back()->found) {
+      continue;
+    }
+    for (const PathStep& step : before.back()->path.steps()) {
+      if (step.door != kInvalidDoor) ++hits[step.door];
+    }
+  }
+  const DoorId door = static_cast<DoorId>(
+      std::max_element(hits.begin(), hits.end()) - hits.begin());
+  ASSERT_GT(hits[door], 0u) << "workload crosses no door of the venue";
+
+  // Open the busiest door only 02:00-02:30: answers through it reroute.
+  std::future<Status> commit = service->SubmitUpdate(
+      MakeUpdate(kVenue, door, {MakeInterval(2, 0, 2, 30)}));
+  ASSERT_TRUE(IsReady(commit));
+  EXPECT_TRUE(commit.get().ok());
+  EXPECT_EQ(service->catalog().epoch(kVenue), 1u);
+
+  // The door carried hits[door] answers before; none crosses it now.
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const StatusOr<QueryResult> after = service->Submit(requests[i]).get();
+    ASSERT_TRUE(after.ok() && before[i].ok()) << "request " << i;
+    if (requests[i].venue_id != kVenue) {
+      ExpectBitIdentical(*after, *before[i], i);
+      continue;
+    }
+    bool crosses = false;
+    for (const PathStep& step : after->path.steps()) {
+      crosses |= step.door == door;
+    }
+    EXPECT_FALSE(after->found && crosses) << "request " << i;
+  }
+  service->Shutdown();
+  ExpectUpdateLedger(service->Stats(), 1, 0);
+}
+
+// Unknown venue or door and malformed intervals come back ready, leave
+// the catalog on its epoch, and count as rejected.
+TEST(QueryServiceUpdateTest, RejectedUpdatesAreReadyAndCounted) {
+  std::unique_ptr<QueryService> service = MakeService(ServiceOptions());
+  const std::vector<TimeInterval> hours = {MakeInterval(9, 0, 17, 0)};
+  struct Case {
+    AtiUpdate update;
+    StatusCode code;
+  };
+  const Case cases[] = {
+      {MakeUpdate(99, 0, hours), StatusCode::kNotFound},
+      {MakeUpdate(0, 1'000'000, hours), StatusCode::kNotFound},
+      {MakeUpdate(0, 0, {TimeInterval{9 * 3600.0, 9 * 3600.0}}),
+       StatusCode::kInvalidArgument},
+  };
+  for (const Case& c : cases) {
+    std::future<Status> commit = service->SubmitUpdate(c.update);
+    ASSERT_TRUE(IsReady(commit));
+    EXPECT_EQ(commit.get().code(), c.code);
+  }
+  EXPECT_EQ(service->catalog().epoch(0), 0u);
+  service->Shutdown();
+  ExpectUpdateLedger(service->Stats(), 0, 3);
+}
+
+TEST(QueryServiceUpdateTest, SubmitAfterShutdownFailsPrecondition) {
+  std::unique_ptr<QueryService> service = MakeService(ServiceOptions());
+  service->Shutdown();
+  std::future<Status> commit =
+      service->SubmitUpdate(MakeUpdate(0, 0, {MakeInterval(9, 0, 17, 0)}));
+  ASSERT_TRUE(IsReady(commit));
+  EXPECT_EQ(commit.get().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(service->catalog().epoch(0), 0u);
+  ExpectUpdateLedger(service->Stats(), 0, 1);
+}
+
+// update_queue_capacity caps applies in flight: with one apply held open
+// in the gate, a second submit bounces at once; after it finishes, the
+// cap admits again.
+TEST(QueryServiceUpdateTest, InFlightCapBouncesWithResourceExhausted) {
+  RouteGate gate;
+  RouterRegistry registry;
+  ServiceOptions options;
+  options.update_queue_capacity = 1;
+  std::unique_ptr<QueryService> service =
+      MakeGatedApplyService(options, &gate, &registry);
+  const std::vector<TimeInterval> hours = {MakeInterval(9, 0, 17, 0)};
+
+  Status held;
+  std::thread writer(
+      [&] { held = service->SubmitUpdate(MakeUpdate(0, 3, hours)).get(); });
+  ASSERT_TRUE(gate.WaitForRunning(1));
+  std::future<Status> bounced = service->SubmitUpdate(MakeUpdate(0, 4, hours));
+  ASSERT_TRUE(IsReady(bounced));
+  EXPECT_EQ(bounced.get().code(), StatusCode::kResourceExhausted);
+
+  gate.Open();
+  writer.join();
+  EXPECT_TRUE(held.ok()) << held.ToString();
+  EXPECT_TRUE(service->SubmitUpdate(MakeUpdate(0, 4, hours)).get().ok());
+  EXPECT_EQ(service->catalog().epoch(0), 2u);
+  service->Shutdown();
+  ExpectUpdateLedger(service->Stats(), 2, 1);
+}
+
+// "Shutdown returned" means quiesced for writes too: it waits for an
+// apply running on a SubmitUpdate caller's thread.
+TEST(QueryServiceUpdateTest, ShutdownWaitsForInFlightApply) {
+  RouteGate gate;
+  RouterRegistry registry;
+  std::unique_ptr<QueryService> service =
+      MakeGatedApplyService(ServiceOptions(), &gate, &registry);
+
+  Status held;
+  std::thread writer([&] {
+    held = service->SubmitUpdate(MakeUpdate(0, 3, {MakeInterval(9, 0, 17, 0)}))
+               .get();
+  });
+  ASSERT_TRUE(gate.WaitForRunning(1));
+
+  std::atomic<bool> shutdown_returned{false};
+  std::thread stopper([&] {
+    service->Shutdown();
+    shutdown_returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(shutdown_returned.load());
+
+  gate.Open();
+  stopper.join();
+  writer.join();
+  EXPECT_TRUE(shutdown_returned.load());
+  EXPECT_TRUE(held.ok()) << held.ToString();
+  EXPECT_EQ(service->catalog().epoch(0), 1u);
+  ExpectUpdateLedger(service->Stats(), 1, 0);
+}
+
+// start_paused holds query dispatch only: a write applies at once.
+TEST(QueryServiceUpdateTest, PausedServiceStillAppliesWrites) {
+  ServiceOptions options;
+  options.start_paused = true;
+  std::unique_ptr<QueryService> service = MakeService(options);
+  const QueryRequest request = MakeWorkload(service->catalog(), 1)[0];
+  std::future<StatusOr<QueryResult>> answer = service->Submit(request);
+
+  std::future<Status> commit =
+      service->SubmitUpdate(MakeUpdate(0, 0, {MakeInterval(9, 0, 17, 0)}));
+  ASSERT_TRUE(IsReady(commit));
+  EXPECT_TRUE(commit.get().ok());
+  EXPECT_EQ(service->catalog().epoch(0), 1u);
+  EXPECT_NE(answer.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+
+  service->Resume();
+  EXPECT_TRUE(answer.get().ok());
+  service->Shutdown();
+  ExpectUpdateLedger(service->Stats(), 1, 0);
+}
+
+// Four writers on three venues mix valid and malformed updates against a
+// cap of two: every outcome (applied, malformed, bounced) lands in the
+// ledger exactly once.
+TEST(QueryServiceUpdateTest, ConcurrentWritersKeepLedger) {
+  ServiceOptions options;
+  options.update_queue_capacity = 2;
+  std::unique_ptr<QueryService> service = MakeService(options);
+  constexpr int kWriters = 4;
+  constexpr int kUpdatesPerWriter = 40;
+  std::atomic<size_t> ok{0}, failed{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int i = 0; i < kUpdatesPerWriter; ++i) {
+        const int hour = 6 + (i + w) % 12;
+        AtiUpdate update = MakeUpdate(static_cast<VenueId>(w % 3), w,
+                                      {MakeInterval(hour, 0, hour + 4, 0)});
+        if (i % 5 == 4) update.intervals = {TimeInterval{3600.0, 3600.0}};
+        (service->SubmitUpdate(update).get().ok() ? ok : failed)
+            .fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+  service->Shutdown();
+  const ServiceStats stats = service->Stats();
+  EXPECT_EQ(stats.updates_submitted,
+            static_cast<size_t>(kWriters * kUpdatesPerWriter));
+  ExpectUpdateLedger(stats, ok.load(), failed.load());
+  EXPECT_GE(failed.load(),
+            static_cast<size_t>(kWriters * kUpdatesPerWriter / 5));
+  size_t epochs = 0;
+  for (VenueId v = 0; v < 3; ++v) epochs += service->catalog().epoch(v);
+  EXPECT_EQ(epochs, ok.load());
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Concurrent read/write hammers for the update plane, written to run
-// under TSan: readers route while a writer flips a door between two ATI
+// under TSan: readers route while writers flip doors between two ATI
 // configurations. Every answer must be coherent — bit-identical to the
 // answer under configuration A's world or configuration B's world,
 // never a mix — and the service keeps serving throughout (no drain, no
-// pause). Pre-building two static control catalogs gives the exact
-// answer set for each world.
+// pause). Pre-building static control worlds gives the exact answer set
+// for each world. With several writers on disjoint doors, the final
+// worlds must also match a from-scratch rebuild.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,7 @@
 #include "query/venue_catalog.h"
 #include "server/query_service.h"
 #include "update/ati_update.h"
+#include "update/versioned_graph.h"
 
 namespace itspq {
 namespace {
@@ -189,6 +191,13 @@ TEST(UpdateConcurrencyTest, CatalogReadersSeeCoherentEpochsUnderWriter) {
 
   size_t applied = 0;
   for (int round = 0; round < kWriterRounds; ++round) {
+    // Pace the writer by the readers so reads overlap the whole stream:
+    // a commit takes microseconds, and 50 of them can otherwise finish
+    // before any reader thread is scheduled.
+    while (answered.load(std::memory_order_relaxed) <=
+           static_cast<size_t>(round)) {
+      std::this_thread::yield();
+    }
     AtiUpdate update;
     update.venue_id = 0;
     update.door_id = fx.door;
@@ -284,6 +293,189 @@ TEST(UpdateConcurrencyTest, ServiceServesThroughoutUpdateStream) {
   EXPECT_GT(stats.updates_applied, 0u);
   EXPECT_EQ(stats.submitted,
             static_cast<size_t>(kSubmitters * kQueriesPerSubmitter));
+}
+
+Venue MakeMall(uint64_t seed) {
+  MallConfig mall = MallConfig::Paper();
+  mall.floors = 1;
+  mall.seed = seed;
+  Venue shell = ValueOrDie(GenerateMall(mall), "GenerateMall");
+  AtiGenConfig ati;
+  ati.seed = seed + 1;
+  return ValueOrDie(AssignTemporalVariations(shell, ati),
+                    "AssignTemporalVariations");
+}
+
+// Four writer threads flip four distinct doors through
+// QueryService::SubmitUpdate — two doors on venue 0, one each on venues
+// 1 and 2 — while eight readers query all three venues. Each read must
+// match one combination of its venue's door configurations. The doors
+// are disjoint, so the final worlds do not depend on the commit order
+// between writers and must answer like a from-scratch rebuild.
+TEST(UpdateConcurrencyTest, ConcurrentWritersOnDisjointDoorsMatchRebuild) {
+  constexpr size_t kVenues = 3;
+  std::vector<Venue> base;
+  for (size_t v = 0; v < kVenues; ++v) base.push_back(MakeMall(13 + 10 * v));
+  VenueCatalog plain;
+  for (const Venue& venue : base) {
+    ValueOrDie(plain.AddVenue(venue, "itg-a+"), "AddVenue");
+  }
+  MultiVenueWorkloadConfig config;
+  config.num_requests = 200;
+  config.seed = 57;
+  config.pairs_per_venue = 8;
+  const std::vector<QueryRequest> workload = ValueOrDie(
+      GenerateMultiVenueWorkload(plain, config), "GenerateMultiVenueWorkload");
+
+  // Writer w flips the door the workload crosses most on its venue
+  // (venue 0's two writers take its two busiest).
+  struct Writer {
+    VenueId venue;
+    DoorId door;
+    int rounds;  // round r writes B when r is even, else A
+  };
+  std::vector<std::vector<size_t>> hits(kVenues);
+  {
+    ShardedRouter router(plain);
+    QueryContext context;
+    for (size_t v = 0; v < kVenues; ++v) hits[v].assign(base[v].NumDoors(), 0);
+    for (const QueryRequest& request : workload) {
+      const StatusOr<QueryResult> result = router.Route(request, &context);
+      if (!result.ok() || !result->found) continue;
+      for (const PathStep& step : result->path.steps()) {
+        if (step.door != kInvalidDoor) ++hits[request.venue_id][step.door];
+      }
+    }
+  }
+  auto busiest = [&](size_t v, DoorId skip) {
+    DoorId best = skip == 0 ? 1 : 0;
+    for (size_t d = 0; d < hits[v].size(); ++d) {
+      if (static_cast<DoorId>(d) != skip && hits[v][d] > hits[v][best]) {
+        best = static_cast<DoorId>(d);
+      }
+    }
+    return best;
+  };
+  const DoorId first = busiest(0, kInvalidDoor);
+  // Final configurations differ per writer: B, A, B, A.
+  const std::vector<Writer> writers = {{0, first, 25},
+                                       {0, busiest(0, first), 24},
+                                       {1, busiest(1, kInvalidDoor), 27},
+                                       {2, busiest(2, kInvalidDoor), 26}};
+
+  // The venue with each of its writers' doors set to `configs` (one bit
+  // per writer on the venue: set = B).
+  auto venue_with = [&](size_t v, unsigned configs) {
+    Venue venue = base[v];
+    unsigned bit = 0;
+    for (const Writer& w : writers) {
+      if (static_cast<size_t>(w.venue) != v) continue;
+      venue = WithDoorConfig(venue, w.door,
+                             (configs >> bit++) & 1 ? kConfigB : kConfigA);
+    }
+    return venue;
+  };
+  // Every answer each venue's door combinations give; the request is
+  // re-addressed to venue 0 to route on a one-venue world.
+  std::vector<std::vector<StatusOr<QueryResult>>> allowed(workload.size());
+  size_t differs = 0;
+  for (size_t v = 0; v < kVenues; ++v) {
+    const unsigned combos = v == 0 ? 4 : 2;
+    for (unsigned c = 0; c < combos; ++c) {
+      const auto world = ValueOrDie(
+          VersionedGraph::Build(venue_with(v, c), "itg-a+"), "Build");
+      QueryContext context;
+      for (size_t q = 0; q < workload.size(); ++q) {
+        if (static_cast<size_t>(workload[q].venue_id) != v) continue;
+        QueryRequest request = workload[q];
+        request.venue_id = 0;
+        allowed[q].push_back(world->router().Route(request, &context));
+        if (!Matches(allowed[q].back(), allowed[q].front())) ++differs;
+      }
+    }
+  }
+  EXPECT_GT(differs, 0u) << "toggled doors affect no workload answer";
+
+  VenueCatalog live;
+  for (size_t v = 0; v < kVenues; ++v) {
+    ValueOrDie(live.AddVenue(venue_with(v, 0), "itg-a+"), "AddVenue");
+  }
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.queue_capacity = 4096;
+  options.update_queue_capacity = writers.size();
+  auto service = ValueOrDie(MakeQueryService(std::move(live), options),
+                            "MakeQueryService");
+
+  constexpr int kReaders = 8;
+  std::atomic<int> writers_left{static_cast<int>(writers.size())};
+  std::atomic<size_t> answered{0}, incoherent{0}, failed_writes{0};
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      size_t i = static_cast<size_t>(r);
+      while (writers_left.load(std::memory_order_relaxed) > 0) {
+        const size_t q = i++ % workload.size();
+        const StatusOr<QueryResult> got = service->Submit(workload[q]).get();
+        bool coherent = false;
+        for (const StatusOr<QueryResult>& expect : allowed[q]) {
+          coherent |= Matches(got, expect);
+        }
+        if (!coherent) incoherent.fetch_add(1, std::memory_order_relaxed);
+        answered.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (const Writer& w : writers) {
+    threads.emplace_back([&, w] {
+      for (int round = 0; round < w.rounds; ++round) {
+        // Paced by the readers so reads overlap every writer's stream.
+        while (answered.load(std::memory_order_relaxed) <
+               static_cast<size_t>(round)) {
+          std::this_thread::yield();
+        }
+        AtiUpdate update;
+        update.venue_id = w.venue;
+        update.door_id = w.door;
+        update.intervals = round % 2 == 0 ? kConfigB : kConfigA;
+        if (!service->SubmitUpdate(update).get().ok()) {
+          failed_writes.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      writers_left.fetch_sub(1, std::memory_order_relaxed);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  service->Shutdown();
+
+  EXPECT_EQ(incoherent.load(), 0u);
+  EXPECT_GT(answered.load(), 0u);
+  EXPECT_EQ(failed_writes.load(), 0u);
+  const ServiceStats stats = service->Stats();
+  EXPECT_EQ(stats.updates_applied, stats.updates_submitted);
+  EXPECT_EQ(service->catalog().epoch(0), 49u);
+  EXPECT_EQ(service->catalog().epoch(1), 27u);
+  EXPECT_EQ(service->catalog().epoch(2), 26u);
+
+  // From-scratch control: each venue rebuilt with its writers' final
+  // configurations (the last round's: B after an odd count, else A).
+  VenueCatalog rebuilt;
+  for (size_t v = 0; v < kVenues; ++v) {
+    unsigned finals = 0, bit = 0;
+    for (const Writer& w : writers) {
+      if (static_cast<size_t>(w.venue) != v) continue;
+      finals |= static_cast<unsigned>(w.rounds % 2) << bit++;
+    }
+    ValueOrDie(rebuilt.AddVenue(venue_with(v, finals), "itg-a+"), "AddVenue");
+  }
+  ShardedRouter rebuilt_router(rebuilt);
+  QueryContext live_context, rebuilt_context;
+  for (size_t q = 0; q < workload.size(); ++q) {
+    EXPECT_TRUE(
+        Matches(service->router().Route(workload[q], &live_context),
+                rebuilt_router.Route(workload[q], &rebuilt_context)))
+        << "request " << q;
+  }
 }
 
 }  // namespace

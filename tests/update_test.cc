@@ -182,7 +182,8 @@ TEST(VersionedGraphTest, LedgerStaysConsistentAcrossUpdates) {
 }
 
 // Epoch N+1 aliases epoch N's venue geometry and compiled adjacency:
-// an ATI edit copies only the flat ATI tables.
+// an ATI edit copies only the flat ATI tables. Its snapshot store reads
+// the epoch's own flip index, which the epoch counts once.
 TEST(UpdateApplierTest, NextEpochSharesGeometryAndAdjacency) {
   VenueCatalog catalog = MakeCatalog("itg-a+");
   const std::shared_ptr<const VersionedGraph> before = catalog.world(0);
@@ -201,6 +202,20 @@ TEST(UpdateApplierTest, NextEpochSharesGeometryAndAdjacency) {
   EXPECT_EQ(after->venue().DoorAti(7).size(), 1u);
   EXPECT_NE(before->venue().DoorAti(7).data(),
             after->venue().DoorAti(7).data());
+
+  // Nothing is resident, so the store counts its slots only, like a
+  // store that has not built its own index yet; one that builds it
+  // counts it.
+  const SnapshotStore* store = after->router().snapshot_store();
+  ASSERT_NE(store, nullptr);
+  EXPECT_EQ(&store->flip_index(), &after->flip_index());
+  SnapshotStore cold(after->graph(), after->checkpoints(),
+                     SnapshotStoreOptions());
+  const size_t slot_bytes = cold.MemoryUsage();
+  EXPECT_EQ(store->MemoryUsage(), slot_bytes);
+  const size_t own_index_bytes = cold.flip_index().MemoryUsage();
+  EXPECT_GT(own_index_bytes, 0u);
+  EXPECT_EQ(cold.MemoryUsage(), slot_bytes + own_index_bytes);
 }
 
 /// `venue` rebuilt from nothing through a fresh Builder: every
@@ -276,6 +291,85 @@ TEST(UpdateApplierTest, PatchedRowsAndFlipIndexMatchFreshBuild) {
               std::vector<DoorId>(expect.FlipsBegin(b), expect.FlipsEnd(b)))
         << "boundary " << b;
   }
+}
+
+// The reference carry plan: one binary search per new interval, whose
+// only candidate is the old interval holding the new span's midpoint.
+std::vector<ptrdiff_t> ReferenceCarryPlan(
+    const std::vector<double>& old_times, const std::vector<double>& new_times,
+    AtiView old_door_ati, AtiView new_door_ati,
+    std::vector<size_t>* invalidate) {
+  auto span_of = [](const std::vector<double>& times, size_t i) {
+    return std::make_pair(i == 0 ? 0.0 : times[i - 1],
+                          i == times.size() ? kSecondsPerDay : times[i]);
+  };
+  std::vector<ptrdiff_t> plan(new_times.size() + 1, kNoCarrySource);
+  for (size_t j = 0; j <= new_times.size(); ++j) {
+    const auto span = span_of(new_times, j);
+    const double mid = (span.first + span.second) * 0.5;
+    const size_t i = static_cast<size_t>(
+        std::upper_bound(old_times.begin(), old_times.end(), mid) -
+        old_times.begin());
+    if (span_of(old_times, i) != span) continue;
+    plan[j] = static_cast<ptrdiff_t>(i);
+    if (old_door_ati.ContainsTimeOfDay(mid) !=
+        new_door_ati.ContainsTimeOfDay(mid)) {
+      invalidate->push_back(j);
+    }
+  }
+  return plan;
+}
+
+// The O(|T|) carry plan equals the binary-search reference on every
+// transition of a 200-update random stream, interleaved with
+// midnight-wrapping replacements and replacements whose both ends land
+// exactly on existing checkpoints.
+TEST(UpdateApplierTest, CarryPlanMatchesBinarySearchReference) {
+  VenueCatalog catalog = MakeCatalog("itg-a+");
+  UpdateStreamConfig stream_config;
+  stream_config.num_updates = 200;
+  stream_config.seed = 92;
+  const std::vector<TimedAtiUpdate> stream =
+      ValueOrDie(GenerateUpdateStream(catalog, stream_config), "stream");
+  size_t carried = 0, shifted = 0, invalidated = 0;
+  for (size_t k = 0; k < stream.size(); ++k) {
+    const std::shared_ptr<const VersionedGraph> before = catalog.world(0);
+    const std::vector<double>& times = before->checkpoints().times();
+    AtiUpdate update = stream[k].update;
+    if (k % 10 == 3) {
+      update.intervals = {
+          TimeInterval{21 * 3600.0 + 60.0 * static_cast<double>(k % 60),
+                       3 * 3600.0}};
+    } else if (k % 10 == 7 && times.size() >= 3) {
+      // Start on one checkpoint, end on another (wrapping past midnight
+      // when the second is earlier).
+      update.intervals = {TimeInterval{times[k % times.size()],
+                                       times[(k + 2) % times.size()]}};
+    }
+    ValueOrDie(catalog.ApplyAtiUpdate(update), "update");
+    const std::shared_ptr<const VersionedGraph> after = catalog.world(0);
+    const DoorId door = update.door_id;
+    std::vector<size_t> invalidate, expect_invalidate;
+    const std::vector<ptrdiff_t> plan = PlanSnapshotCarry(
+        times, after->checkpoints().times(), before->graph().Ati(door),
+        after->graph().Ati(door), &invalidate);
+    const std::vector<ptrdiff_t> expect = ReferenceCarryPlan(
+        times, after->checkpoints().times(), before->graph().Ati(door),
+        after->graph().Ati(door), &expect_invalidate);
+    EXPECT_EQ(plan, expect) << "update " << k;
+    EXPECT_EQ(invalidate, expect_invalidate) << "update " << k;
+    for (size_t j = 0; j < plan.size(); ++j) {
+      if (plan[j] == kNoCarrySource) continue;
+      ++carried;
+      if (plan[j] != static_cast<ptrdiff_t>(j)) ++shifted;
+    }
+    invalidated += invalidate.size();
+  }
+  // Every branch of the plan ran: carries in place, shifted carries, and
+  // invalidations.
+  EXPECT_GT(carried, shifted);
+  EXPECT_GT(shifted, 0u);
+  EXPECT_GT(invalidated, 0u);
 }
 
 TEST(UpdateApplierTest, ErrorsLeaveCatalogOnCurrentEpoch) {
