@@ -1,15 +1,18 @@
 // Micro-benchmarks (google-benchmark) for the hot primitives underneath
 // the ITSPQ search: ATI membership, checkpoint lookup, reduced-graph
 // derivation, point location, door-adjacency compile, frontier
-// disciplines, masked neighbour scans, end-to-end queries, and the
-// online-update commit.
+// disciplines, masked neighbour scans, end-to-end queries, the
+// online-update commit, and an artifact cold load.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "artifact/artifact.h"
 #include "bench/bench_common.h"
 #include "itgraph/csr_adjacency.h"
 #include "itgraph/frontier_queue.h"
@@ -264,6 +267,33 @@ void BM_RouteBatch(benchmark::State& state) {
 // RouteBatch is sequential; the /1 suffix keeps the row name that the
 // committed BENCH_*.json snapshots record.
 BENCHMARK(BM_RouteBatch)->Arg(1);
+
+void BM_ArtifactLoad(benchmark::State& state) {
+  // A cold load on the request path, as a lazy catalog shard pays it:
+  // decode one in-memory image of a 3-floor fleet venue, then assemble
+  // its serving world (adjacency compile + itg-a+ router). Teardown of
+  // the previous world is inside the timed loop, as an eviction is.
+  static const std::vector<uint8_t>* image = [] {
+    FleetConfig config;
+    config.num_venues = 1;
+    config.seed = 1;
+    config.min_floors = 3;
+    config.max_floors = 3;
+    auto fleet = GenerateVenueFleet(config);
+    if (!fleet.ok()) std::abort();
+    auto bytes = EncodeVenueArtifact((*fleet)[0]);
+    if (!bytes.ok()) std::abort();
+    return new std::vector<uint8_t>(*std::move(bytes));
+  }();
+  for (auto _ : state) {
+    auto decoded = DecodeVenueArtifact(image->data(), image->size());
+    if (!decoded.ok()) std::abort();
+    auto world = BuildWorldFromArtifact(*std::move(decoded), "itg-a+");
+    if (!world.ok()) std::abort();
+    benchmark::DoNotOptimize(world->get());
+  }
+}
+BENCHMARK(BM_ArtifactLoad);
 
 }  // namespace
 }  // namespace bench

@@ -70,11 +70,13 @@ inline constexpr ptrdiff_t kNoCarrySource = -1;
 
 /// Warm-start state for rebuilding a store (and its router) after an
 /// online ATI update — produced by UpdateApplier (update/update_applier.h)
-/// from the venue's previous VersionedGraph. All pointers but
-/// flip_index are borrowed for the duration of construction only.
+/// from the venue's previous VersionedGraph. checkpoints and flip_index
+/// are borrowed for the router's lifetime; carry_from only during
+/// construction.
 struct SnapshotWarmStart {
   /// The new graph's checkpoint set, derived incrementally by the update
-  /// plane. Router adopts it verbatim instead of re-deriving FromGraph.
+  /// plane. Router borrows it (its owner, the VersionedGraph, outlives
+  /// the router) instead of re-deriving FromGraph.
   const CheckpointSet* checkpoints = nullptr;
   /// Flip index of (new graph, checkpoints), patched incrementally. The
   /// store borrows it for its lifetime (its owner, the VersionedGraph,

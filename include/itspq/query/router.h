@@ -93,8 +93,9 @@ struct RouterBuildOptions {
   /// (update/update_applier.h): the router adopts the precomputed
   /// checkpoint set and flip index instead of re-deriving them from the
   /// graph, and its snapshot store carries resident snapshots from the
-  /// previous version. Borrowed for construction only; the store keeps
-  /// pointing at its flip index (see SnapshotWarmStart).
+  /// previous version. The struct itself is read during construction
+  /// only; the router keeps pointing at its checkpoint set and the store
+  /// at its flip index (see SnapshotWarmStart).
   const SnapshotWarmStart* warm_start = nullptr;
   /// The VenueId this router answers for. Route() accepts requests
   /// whose venue_id is 0 (unaddressed) or equals the bound id, and
@@ -207,8 +208,8 @@ class Router {
   bool has_graph() const { return graph_ != nullptr; }
   const ItGraph& graph() const { return *graph_; }
   /// Checkpoints derived from the graph's ATI boundaries at
-  /// construction.
-  const CheckpointSet& checkpoints() const { return checkpoints_; }
+  /// construction, or the warm start's set.
+  const CheckpointSet& checkpoints() const { return *checkpoints_; }
 
   /// Point-in-time counters of the router's shared snapshot store —
   /// hits, misses, evictions, full-vs-delta builds, resident bytes.
@@ -234,8 +235,8 @@ class Router {
   }
 
   /// Bytes of shared cross-query state owned by the router itself
-  /// (checkpoints, snapshot store). The graph and venue are accounted
-  /// separately by whoever owns them.
+  /// (checkpoints unless borrowed, snapshot store). The graph and venue
+  /// are accounted separately by whoever owns them.
   virtual size_t MemoryUsage() const;
 
   /// The router's shared snapshot store, or null for strategies without
@@ -244,9 +245,10 @@ class Router {
   virtual const SnapshotStore* snapshot_store() const { return nullptr; }
 
  protected:
-  /// A non-null `precomputed` checkpoint set is copied instead of
-  /// derived via CheckpointSet::FromGraph — the update plane passes the
-  /// incrementally maintained set through RouterBuildOptions::warm_start.
+  /// A non-null `precomputed` checkpoint set is borrowed (it must
+  /// outlive the router) instead of derived via CheckpointSet::FromGraph
+  /// — the update plane passes the set its VersionedGraph owns through
+  /// RouterBuildOptions::warm_start.
   Router(std::string name, const ItGraph& graph,
          const CheckpointSet* precomputed = nullptr);
   /// Composite routers: no single backing graph, empty checkpoints.
@@ -259,7 +261,10 @@ class Router {
  private:
   std::string name_;
   const ItGraph* graph_;
-  CheckpointSet checkpoints_;
+  /// Derived at construction unless a precomputed set was borrowed;
+  /// checkpoints_ points at one or the other.
+  CheckpointSet own_checkpoints_;
+  const CheckpointSet* checkpoints_;
   VenueId bound_venue_id_ = 0;
 };
 

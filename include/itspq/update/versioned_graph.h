@@ -59,7 +59,7 @@ class VersionedGraph {
   const Venue& venue() const { return *venue_; }
   const ItGraph& graph() const { return *graph_; }
   const Router& router() const { return *router_; }
-  const CheckpointSet& checkpoints() const { return router_->checkpoints(); }
+  const CheckpointSet& checkpoints() const { return checkpoints_; }
   const BoundaryFlipIndex& flip_index() const { return flips_; }
 
   /// Venue + graph + router shared state + flip index, bytes.

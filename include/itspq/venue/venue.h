@@ -14,6 +14,11 @@
 // Builder::FromVenue + SetDoorAti, shares the geometry and copies only
 // the flat per-door ATI table (row offsets + one interval pool).
 //
+// Every per-partition and per-cell list is stored CSR style: one u32
+// offsets array plus one flat pool, so a venue's geometry is a handful
+// of heap blocks however many partitions it has, and the artifact
+// loader adopts the on-disk pools as they are.
+//
 // Venues are immutable once built. Construct through Venue::Builder:
 //
 //   Venue::Builder b;
@@ -73,9 +78,12 @@ class Venue {
     return geometry_->doors[static_cast<size_t>(d)];
   }
 
-  /// Doors on the boundary of partition `p`.
-  const std::vector<DoorId>& DoorsOf(PartitionId p) const {
-    return geometry_->doors_of[static_cast<size_t>(p)];
+  /// Doors on the boundary of partition `p`, ascending.
+  Span<DoorId> DoorsOf(PartitionId p) const {
+    const Geometry& g = *geometry_;
+    const uint32_t begin = g.doors_of_offsets[static_cast<size_t>(p)];
+    const uint32_t end = g.doors_of_offsets[static_cast<size_t>(p) + 1];
+    return Span<DoorId>(g.doors_of_pool.data() + begin, end - begin);
   }
 
   /// Door `d`'s applicable time intervals as given to the builder (not
@@ -106,12 +114,20 @@ class Venue {
   friend class ArtifactCodec;
   Venue() = default;
 
-  // Uniform per-floor grid accelerating LocateAll.
+  // Uniform per-floor grid accelerating LocateAll. Cell i = r * cols + c
+  // holds the partitions cell_pool[cell_offsets[i], cell_offsets[i + 1]),
+  // ascending.
   struct FloorIndex {
     double origin_x = 0, origin_y = 0;
     double cell = 1;
     int cols = 0, rows = 0;
-    std::vector<std::vector<PartitionId>> cells;
+    std::vector<uint32_t> cell_offsets;  // cols * rows + 1
+    std::vector<PartitionId> cell_pool;
+
+    /// The column / row holding coordinate x / y, clamped to the grid
+    /// (any double is accepted, NaN included). Requires cols, rows > 0.
+    int Col(double x) const;
+    int Row(double y) const;
   };
 
   // Everything an ATI edit cannot change. Door lists and the grid are
@@ -119,7 +135,10 @@ class Venue {
   struct Geometry {
     std::vector<Partition> partitions;
     std::vector<Door> doors;
-    std::vector<std::vector<DoorId>> doors_of;
+    // Partition p's doors are doors_of_pool[doors_of_offsets[p],
+    // doors_of_offsets[p + 1]).
+    std::vector<uint32_t> doors_of_offsets;  // NumPartitions() + 1
+    std::vector<DoorId> doors_of_pool;
     int min_floor = 0;
     std::vector<FloorIndex> floor_index;  // indexed by floor - min_floor
 

@@ -215,13 +215,8 @@ void ArtifactCodec::EncodeDoorAtis(const Venue& v, ByteWriter& w) {
 }
 
 void ArtifactCodec::EncodeDoorsOf(const Venue& v, ByteWriter& w) {
-  uint64_t total = 0;
-  w.U64(0);
-  for (const auto& doors : v.geometry_->doors_of) {
-    total += doors.size();
-    w.U64(total);
-  }
-  for (const auto& doors : v.geometry_->doors_of) w.Pod(doors);
+  for (uint32_t offset : v.geometry_->doors_of_offsets) w.U64(offset);
+  w.Pod(v.geometry_->doors_of_pool);
 }
 
 void ArtifactCodec::EncodeFloorIndex(const Venue& v, ByteWriter& w) {
@@ -233,13 +228,8 @@ void ArtifactCodec::EncodeFloorIndex(const Venue& v, ByteWriter& w) {
     w.F64(fi.cell);
     w.I32(fi.cols);
     w.I32(fi.rows);
-    uint64_t total = 0;
-    w.U64(0);
-    for (const auto& cell : fi.cells) {
-      total += cell.size();
-      w.U64(total);
-    }
-    for (const auto& cell : fi.cells) w.Pod(cell);
+    for (uint32_t offset : fi.cell_offsets) w.U64(offset);
+    w.Pod(fi.cell_pool);
   }
 }
 
@@ -429,8 +419,9 @@ bool ReadCsrOffsets(ByteReader& r, size_t count, std::vector<uint64_t>* out) {
   return true;
 }
 
-/// The in-memory ATI rows index their pools with 32-bit offsets; false
-/// when a (validated, non-decreasing) offset array does not fit.
+/// The in-memory CSR tables (ATI rows, door lists, grid cells) index
+/// their pools with 32-bit offsets; false when a (validated,
+/// non-decreasing) offset array does not fit.
 bool NarrowOffsets(const std::vector<uint64_t>& wide,
                    std::vector<uint32_t>* out) {
   if (wide.back() > UINT32_MAX) return false;
@@ -517,6 +508,13 @@ Status ArtifactCodec::ParseVenue(
           !r.I32(&p.floor) || !r.U32(&pad)) {
         return CorruptSection(kKind, "truncated partition record");
       }
+      // What Builder::Build admits: LocateAll tests points against
+      // these rectangles, and a re-derived venue must build again.
+      const double w = p.rect.width();
+      const double h = p.rect.height();
+      if (!(w > 0 && h > 0 && std::isfinite(w) && std::isfinite(h))) {
+        return CorruptSection(kKind, "degenerate partition rectangle");
+      }
     }
     if (!r.Exhausted()) return CorruptSection(kKind, "trailing bytes");
   }
@@ -568,10 +566,11 @@ Status ArtifactCodec::ParseVenue(
     constexpr uint32_t kKind = static_cast<uint32_t>(ArtifactSection::kDoorsOf);
     ByteReader r = reader(ArtifactSection::kDoorsOf);
     std::vector<uint64_t> offsets;
-    if (!ReadCsrOffsets(r, P, &offsets)) {
+    if (!ReadCsrOffsets(r, P, &offsets) ||
+        !NarrowOffsets(offsets, &geometry->doors_of_offsets)) {
       return CorruptSection(kKind, "malformed door-list offsets");
     }
-    std::vector<DoorId> pool;
+    std::vector<DoorId>& pool = geometry->doors_of_pool;
     if (!r.Pod(&pool, offsets[P]) || !r.Exhausted()) {
       return CorruptSection(kKind, "door pool truncated");
     }
@@ -594,7 +593,6 @@ Status ArtifactCodec::ParseVenue(
     // every door listed under both of its partitions (bit `side` of
     // listed[d] records the list of door d's partitions[side]).
     std::vector<uint8_t> listed(n, 0);
-    geometry->doors_of.resize(P);
     for (size_t p = 0; p < P; ++p) {
       const size_t begin = static_cast<size_t>(offsets[p]);
       const size_t end = static_cast<size_t>(offsets[p + 1]);
@@ -618,7 +616,6 @@ Status ArtifactCodec::ParseVenue(
         listed[static_cast<size_t>(d)] |=
             sides[0] == static_cast<PartitionId>(p) ? 1 : 2;
       }
-      geometry->doors_of[p].assign(pool.begin() + begin, pool.begin() + end);
     }
     for (size_t d = 0; d < n; ++d) {
       if (listed[d] != 3) {
@@ -643,9 +640,12 @@ Status ArtifactCodec::ParseVenue(
     }
     geometry->floor_index.resize(num_floors);
     for (Venue::FloorIndex& fi : geometry->floor_index) {
+      // LocateAll divides by the cell edge and offsets by the origin,
+      // so a NaN or infinite value here would put every point in cell 0.
       if (!r.F64(&fi.origin_x) || !r.F64(&fi.origin_y) || !r.F64(&fi.cell) ||
           !r.I32(&fi.cols) || !r.I32(&fi.rows) || fi.cols < 0 || fi.rows < 0 ||
-          fi.cell <= 0) {
+          !(fi.cell > 0) || !std::isfinite(fi.cell) ||
+          !std::isfinite(fi.origin_x) || !std::isfinite(fi.origin_y)) {
         return CorruptSection(kKind, "malformed grid header");
       }
       const uint64_t ncells =
@@ -654,22 +654,17 @@ Status ArtifactCodec::ParseVenue(
         return CorruptSection(kKind, "implausible grid size");
       }
       std::vector<uint64_t> offsets;
-      if (!ReadCsrOffsets(r, static_cast<size_t>(ncells), &offsets)) {
+      if (!ReadCsrOffsets(r, static_cast<size_t>(ncells), &offsets) ||
+          !NarrowOffsets(offsets, &fi.cell_offsets)) {
         return CorruptSection(kKind, "malformed cell offsets");
       }
-      std::vector<PartitionId> pool;
-      if (!r.Pod(&pool, offsets[static_cast<size_t>(ncells)])) {
+      if (!r.Pod(&fi.cell_pool, offsets[static_cast<size_t>(ncells)])) {
         return CorruptSection(kKind, "cell pool truncated");
       }
-      for (PartitionId p : pool) {
+      for (PartitionId p : fi.cell_pool) {
         if (p < 0 || static_cast<size_t>(p) >= P) {
           return CorruptSection(kKind, "cell references unknown partition");
         }
-      }
-      fi.cells.resize(static_cast<size_t>(ncells));
-      for (size_t c = 0; c < fi.cells.size(); ++c) {
-        fi.cells[c].assign(pool.begin() + static_cast<size_t>(offsets[c]),
-                           pool.begin() + static_cast<size_t>(offsets[c + 1]));
       }
     }
     if (!r.Exhausted()) return CorruptSection(kKind, "trailing bytes");

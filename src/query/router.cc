@@ -30,13 +30,16 @@ Router::Router(std::string name, const ItGraph& graph,
                const CheckpointSet* precomputed)
     : name_(std::move(name)),
       graph_(&graph),
-      checkpoints_(precomputed != nullptr ? *precomputed
-                                          : CheckpointSet::FromGraph(graph)) {}
+      own_checkpoints_(precomputed != nullptr
+                           ? CheckpointSet()
+                           : CheckpointSet::FromGraph(graph)),
+      checkpoints_(precomputed != nullptr ? precomputed : &own_checkpoints_) {}
 
-Router::Router(std::string name) : name_(std::move(name)), graph_(nullptr) {}
+Router::Router(std::string name)
+    : name_(std::move(name)), graph_(nullptr), checkpoints_(&own_checkpoints_) {}
 
 size_t Router::MemoryUsage() const {
-  return checkpoints_.times().capacity() * sizeof(double);
+  return own_checkpoints_.times().capacity() * sizeof(double);
 }
 
 std::vector<StatusOr<QueryResult>> Router::RouteBatch(

@@ -123,6 +123,8 @@ struct SearchScratch {
 /// identically). kInvalidArgument on:
 ///   - a non-finite departure (NaN used to flow into WrapTimeOfDay and
 ///     surface as a silent found == false);
+///   - a non-finite source, target or waypoint coordinate (it cannot be
+///     located; a finite point outside the venue fails at AttachPoint);
 ///   - a non-zero venue_id naming a venue other than the router's bound
 ///     one (used to be silently answered by the wrong venue);
 ///   - per-family parameter violations (non-finite/negative budget,
@@ -132,6 +134,16 @@ inline Status ValidateRequest(const QueryRequest& request,
   if (!std::isfinite(request.departure.seconds())) {
     return InvalidArgumentError(
         "departure must be a finite time (NaN/inf rejected)");
+  }
+  auto finite = [](const IndoorPoint& point) {
+    return std::isfinite(point.p.x) && std::isfinite(point.p.y);
+  };
+  if (!finite(request.source) || !finite(request.target) ||
+      !std::all_of(request.waypoints.begin(), request.waypoints.end(),
+                   finite)) {
+    return InvalidArgumentError(
+        "source, target and waypoint coordinates must be finite (NaN/inf "
+        "rejected)");
   }
   if (request.venue_id != 0 && request.venue_id != bound_venue_id) {
     return InvalidArgumentError(

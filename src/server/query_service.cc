@@ -111,7 +111,6 @@ std::future<StatusOr<QueryResult>> QueryService::Submit(
   pending.request = request;
   pending.qos = qos;
   pending.submit = now;
-  pending.deadline = DeadlineFor(now, deadline_micros);
   std::future<StatusOr<QueryResult>> future = pending.promise.get_future();
 
   Status rejection;
@@ -144,6 +143,9 @@ std::future<StatusOr<QueryResult>> QueryService::Submit(
       rejected_expired_.fetch_add(1, kRelaxed);
       rejection = DeadlineExceededError("deadline expired before admission");
     } else {
+      // Only now is deadline_micros known to be a positive number (or
+      // +inf): a -inf must never reach DeadlineFor's duration cast.
+      pending.deadline = DeadlineFor(now, deadline_micros);
       // Feasibility gate: with the observed per-request route time and
       // the queue depth this class would wait behind, can the deadline
       // still be met? Shedding now beats timing out in the queue later

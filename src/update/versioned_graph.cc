@@ -35,6 +35,8 @@ StatusOr<std::shared_ptr<const VersionedGraph>> VersionedGraph::Build(
 Status VersionedGraph::FinishBuild(const SnapshotStore* carry_from,
                                    std::vector<ptrdiff_t> carry_plan,
                                    std::vector<size_t> invalidate) {
+  // The router borrows checkpoints_ and the store borrows flips_; both
+  // live as long as router_.
   SnapshotWarmStart warm;
   warm.checkpoints = &checkpoints_;
   warm.flip_index = &flips_;

@@ -14,6 +14,26 @@ namespace {
 // bloating small venues.
 constexpr double kLocateCellMetres = 64.0;
 
+// Cells per grid axis are capped: 4096 x 64 m is 262 km, past any
+// indoor venue, and a wider floor (a 1e300 m rectangle, say) must not
+// overflow the int cast. Points past the last cell clamp into it, so a
+// capped grid is slower, never wrong.
+constexpr double kMaxGridCells = 4096;
+
+int GridDim(double extent) {
+  return static_cast<int>(
+      std::clamp(std::ceil(extent / kLocateCellMetres), 1.0, kMaxGridCells));
+}
+
+// Grid coordinate of a point `offset` cells past the origin on an axis
+// of `n` cells. Clamps in double first: casting a NaN, an infinity or
+// a value past INT_MAX to int is undefined behaviour.
+int GridCoord(double offset, int n) {
+  if (!(offset > 0)) return 0;  // negative or NaN
+  if (offset >= n - 1) return n - 1;
+  return static_cast<int>(offset);
+}
+
 }  // namespace
 
 void Venue::Builder::DetachGeometry() {
@@ -81,7 +101,10 @@ StatusOr<Venue> Venue::Builder::Build() && {
     const auto num_partitions = static_cast<PartitionId>(partitions_.size());
     for (size_t i = 0; i < partitions_.size(); ++i) {
       const Rect& r = partitions_[i].rect;
-      if (r.width() <= 0 || r.height() <= 0) {
+      // Also rejects NaN and infinite extents, which the location grid
+      // cannot size.
+      if (!(r.width() > 0 && r.height() > 0 && std::isfinite(r.width()) &&
+            std::isfinite(r.height()))) {
         return InvalidArgumentError("partition " + std::to_string(i) +
                                     " has a degenerate rectangle");
       }
@@ -159,10 +182,23 @@ StatusOr<Venue> Venue::Builder::Build() && {
 }
 
 void Venue::Geometry::BuildDoorLists() {
-  doors_of.assign(partitions.size(), {});
+  // Count, prefix-sum, fill: doors are visited in id order, so every
+  // list comes out ascending.
+  doors_of_offsets.assign(partitions.size() + 1, 0);
+  for (const Door& door : doors) {
+    for (PartitionId p : door.partitions) {
+      ++doors_of_offsets[static_cast<size_t>(p) + 1];
+    }
+  }
+  for (size_t p = 0; p < partitions.size(); ++p) {
+    doors_of_offsets[p + 1] += doors_of_offsets[p];
+  }
+  doors_of_pool.resize(doors_of_offsets.back());
+  std::vector<uint32_t> next(doors_of_offsets.begin(),
+                             doors_of_offsets.end() - 1);
   for (size_t d = 0; d < doors.size(); ++d) {
     for (PartitionId p : doors[d].partitions) {
-      doors_of[static_cast<size_t>(p)].push_back(static_cast<DoorId>(d));
+      doors_of_pool[next[static_cast<size_t>(p)]++] = static_cast<DoorId>(d);
     }
   }
 }
@@ -177,9 +213,9 @@ void Venue::Geometry::BuildLocationIndex() {
   }
   floor_index.assign(static_cast<size_t>(max_floor - min_floor) + 1, {});
 
-  // Per-floor bounding box.
   for (size_t f = 0; f < floor_index.size(); ++f) {
     const int floor = min_floor + static_cast<int>(f);
+    // Per-floor bounding box.
     double min_x = 0, min_y = 0, max_x = 0, max_y = 0;
     bool any = false;
     for (const Partition& p : partitions) {
@@ -201,56 +237,65 @@ void Venue::Geometry::BuildLocationIndex() {
     index.origin_x = min_x;
     index.origin_y = min_y;
     index.cell = kLocateCellMetres;
-    index.cols =
-        any ? std::max(1, static_cast<int>(
-                              std::ceil((max_x - min_x) / index.cell)))
-            : 0;
-    index.rows =
-        any ? std::max(1, static_cast<int>(
-                              std::ceil((max_y - min_y) / index.cell)))
-            : 0;
-    index.cells.assign(static_cast<size_t>(index.cols) * index.rows, {});
-  }
+    index.cols = any ? GridDim(max_x - min_x) : 0;
+    index.rows = any ? GridDim(max_y - min_y) : 0;
 
-  for (size_t pid = 0; pid < partitions.size(); ++pid) {
-    const Partition& p = partitions[pid];
-    FloorIndex& index = floor_index[static_cast<size_t>(p.floor - min_floor)];
-    const int c0 = std::clamp(
-        static_cast<int>((p.rect.min_x - index.origin_x) / index.cell), 0,
-        index.cols - 1);
-    const int c1 = std::clamp(
-        static_cast<int>((p.rect.max_x - index.origin_x) / index.cell), 0,
-        index.cols - 1);
-    const int r0 = std::clamp(
-        static_cast<int>((p.rect.min_y - index.origin_y) / index.cell), 0,
-        index.rows - 1);
-    const int r1 = std::clamp(
-        static_cast<int>((p.rect.max_y - index.origin_y) / index.cell), 0,
-        index.rows - 1);
-    for (int r = r0; r <= r1; ++r) {
-      for (int c = c0; c <= c1; ++c) {
-        index.cells[static_cast<size_t>(r) * index.cols + c].push_back(
-            static_cast<PartitionId>(pid));
+    // Count, prefix-sum, fill: each partition on the floor lands in
+    // every cell its rectangle overlaps; partitions are visited in id
+    // order, so every cell comes out ascending.
+    auto for_each_cell = [&](const Partition& p, auto&& visit) {
+      const int c0 = index.Col(p.rect.min_x);
+      const int c1 = index.Col(p.rect.max_x);
+      const int r0 = index.Row(p.rect.min_y);
+      const int r1 = index.Row(p.rect.max_y);
+      for (int r = r0; r <= r1; ++r) {
+        for (int c = c0; c <= c1; ++c) {
+          visit(static_cast<size_t>(r) * index.cols + c);
+        }
       }
+    };
+    std::vector<uint32_t>& offsets = index.cell_offsets;
+    offsets.assign(static_cast<size_t>(index.cols) * index.rows + 1, 0);
+    for (const Partition& p : partitions) {
+      if (p.floor != floor) continue;
+      for_each_cell(p, [&](size_t cell) { ++offsets[cell + 1]; });
+    }
+    for (size_t i = 0; i + 1 < offsets.size(); ++i) {
+      offsets[i + 1] += offsets[i];
+    }
+    index.cell_pool.resize(offsets.back());
+    std::vector<uint32_t> next(offsets.begin(), offsets.end() - 1);
+    for (size_t pid = 0; pid < partitions.size(); ++pid) {
+      if (partitions[pid].floor != floor) continue;
+      for_each_cell(partitions[pid], [&](size_t cell) {
+        index.cell_pool[next[cell]++] = static_cast<PartitionId>(pid);
+      });
     }
   }
+}
+
+int Venue::FloorIndex::Col(double x) const {
+  return GridCoord((x - origin_x) / cell, cols);
+}
+
+int Venue::FloorIndex::Row(double y) const {
+  return GridCoord((y - origin_y) / cell, rows);
 }
 
 std::vector<PartitionId> Venue::LocateAll(const IndoorPoint& point) const {
   std::vector<PartitionId> out;
   const Geometry& g = *geometry_;
-  const size_t f = static_cast<size_t>(point.floor - g.min_floor);
-  if (point.floor < g.min_floor || f >= g.floor_index.size()) return out;
+  if (point.floor < g.min_floor) return out;
+  const auto f = static_cast<size_t>(static_cast<int64_t>(point.floor) -
+                                     g.min_floor);
+  if (f >= g.floor_index.size()) return out;
   const FloorIndex& index = g.floor_index[f];
   if (index.cols == 0 || index.rows == 0) return out;
-  const int c = std::clamp(
-      static_cast<int>((point.p.x - index.origin_x) / index.cell), 0,
-      index.cols - 1);
-  const int r = std::clamp(
-      static_cast<int>((point.p.y - index.origin_y) / index.cell), 0,
-      index.rows - 1);
-  for (PartitionId pid :
-       index.cells[static_cast<size_t>(r) * index.cols + c]) {
+  const size_t cell = static_cast<size_t>(index.Row(point.p.y)) * index.cols +
+                      index.Col(point.p.x);
+  for (uint32_t i = index.cell_offsets[cell]; i < index.cell_offsets[cell + 1];
+       ++i) {
+    const PartitionId pid = index.cell_pool[i];
     if (g.partitions[static_cast<size_t>(pid)].rect.Contains(point.p)) {
       out.push_back(pid);
     }
@@ -263,15 +308,13 @@ size_t Venue::MemoryUsage() const {
   size_t total = g.partitions.capacity() * sizeof(Partition) +
                  g.doors.capacity() * sizeof(Door) +
                  ati_offsets_.capacity() * sizeof(uint32_t) +
-                 ati_pool_.capacity() * sizeof(TimeInterval);
-  for (const auto& list : g.doors_of) {
-    total += list.capacity() * sizeof(DoorId);
-  }
+                 ati_pool_.capacity() * sizeof(TimeInterval) +
+                 g.doors_of_offsets.capacity() * sizeof(uint32_t) +
+                 g.doors_of_pool.capacity() * sizeof(DoorId) +
+                 g.floor_index.capacity() * sizeof(FloorIndex);
   for (const FloorIndex& index : g.floor_index) {
-    total += index.cells.capacity() * sizeof(std::vector<PartitionId>);
-    for (const auto& cell : index.cells) {
-      total += cell.capacity() * sizeof(PartitionId);
-    }
+    total += index.cell_offsets.capacity() * sizeof(uint32_t) +
+             index.cell_pool.capacity() * sizeof(PartitionId);
   }
   return total;
 }

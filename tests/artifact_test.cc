@@ -15,8 +15,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <iterator>
+#include <limits>
+#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -328,6 +329,32 @@ TEST(ArtifactNegativeTest, NonFiniteDoorPositionRejected) {
   }
 }
 
+// Partition rectangles must be what Builder::Build admits: a NaN,
+// infinite or empty extent is rejected at load.
+TEST(ArtifactNegativeTest, DegeneratePartitionRectangleRejected) {
+  const std::string dir = TestDir("partrect");
+  const std::vector<uint8_t> image = EncodeSmallVenue();
+  const std::vector<uint8_t> partitions =
+      SectionPayload(image, ArtifactSection::kPartitions);
+  // Partition record: f64 min_x | min_y | max_x | max_y | i32 floor | pad.
+  constexpr size_t kPartitionRecord = 40;
+  ASSERT_GT(partitions.size(), 2 * kPartitionRecord);
+  double min_x = 0;
+  std::memcpy(&min_x, partitions.data() + kPartitionRecord, sizeof(min_x));
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity(),
+                               min_x};
+  for (double bad : bad_values) {
+    std::vector<uint8_t> patched = partitions;
+    // Partition 1's max_x.
+    std::memcpy(patched.data() + kPartitionRecord + 16, &bad, sizeof(bad));
+    ExpectLoadRejected(
+        dir, ReplaceSection(image, ArtifactSection::kPartitions, patched),
+        "Partitions", "degenerate partition rectangle");
+  }
+}
+
 // Finite but far-apart positions still overflow the straight-line
 // distance; the world must not be assembled with an infinite weight.
 TEST(ArtifactNegativeTest, OverflowingDoorDistanceRejectedAtAssembly) {
@@ -448,6 +475,194 @@ TEST(ArtifactNegativeTest, OversizedAdjacencyRejected) {
   ExpectLoadRejected(
       dir, ReplaceSection(image, ArtifactSection::kDoorsOf, doors_of.Encode()),
       "DoorsOf", "door lists imply more than 67108864 adjacency edges");
+}
+
+// Floor 0 of the FloorIndex section as the encoder lays it out: i32
+// min_floor | u32 floors, then per floor f64 origin_x | f64 origin_y |
+// f64 cell | i32 cols | i32 rows | cols*rows+1 u64 offsets | i32 pool.
+struct FloorZero {
+  static constexpr size_t kOriginX = 8;
+  static constexpr size_t kOriginY = 16;
+  static constexpr size_t kCell = 24;
+  static constexpr size_t kCols = 32;
+  static constexpr size_t kRows = 36;
+  static constexpr size_t kOffsets = 40;
+
+  std::vector<uint8_t> payload;
+  size_t cells = 0;
+
+  explicit FloorZero(std::vector<uint8_t> section)
+      : payload(std::move(section)) {
+    int32_t cols = 0, rows = 0;
+    std::memcpy(&cols, payload.data() + kCols, sizeof(cols));
+    std::memcpy(&rows, payload.data() + kRows, sizeof(rows));
+    cells = static_cast<size_t>(cols) * static_cast<size_t>(rows);
+  }
+
+  template <typename T>
+  void Put(size_t at, T value) {
+    std::memcpy(payload.data() + at, &value, sizeof(value));
+  }
+  uint64_t Offset(size_t i) const {
+    uint64_t v = 0;
+    std::memcpy(&v, payload.data() + kOffsets + i * 8, sizeof(v));
+    return v;
+  }
+  void SetOffset(size_t i, uint64_t v) { Put(kOffsets + i * 8, v); }
+  size_t PoolAt() const { return kOffsets + (cells + 1) * 8; }
+};
+
+// LocateAll divides by the cell edge and offsets by the origin, so the
+// grid header's doubles must be finite (and the edge positive); the
+// cell lists must be a valid CSR naming known partitions, and its
+// offsets must fit the in-memory u32 table.
+TEST(ArtifactNegativeTest, MalformedFloorIndexRejected) {
+  const std::string dir = TestDir("floorindex");
+  const Venue venue = MakeSmallVenue();
+  const std::vector<uint8_t> image =
+      ValueOrDie(EncodeVenueArtifact(venue), "EncodeVenueArtifact");
+  const FloorZero original(
+      SectionPayload(image, ArtifactSection::kFloorIndex));
+  ASSERT_GE(original.cells, 2u);
+  ASSERT_GT(original.Offset(original.cells), 0u);
+  auto expect_rejected = [&](const FloorZero& floor, const char* what) {
+    ExpectLoadRejected(dir,
+                       ReplaceSection(image, ArtifactSection::kFloorIndex,
+                                      floor.payload),
+                       "FloorIndex", what);
+  };
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {nan, inf, -inf, 0.0, -64.0}) {
+    FloorZero floor = original;
+    floor.Put(FloorZero::kCell, bad);
+    expect_rejected(floor, "malformed grid header");
+  }
+  for (size_t at : {FloorZero::kOriginX, FloorZero::kOriginY}) {
+    for (double bad : {nan, inf, -inf}) {
+      FloorZero floor = original;
+      floor.Put(at, bad);
+      expect_rejected(floor, "malformed grid header");
+    }
+  }
+  {
+    FloorZero floor = original;  // offset 1 past the last one
+    floor.SetOffset(1, original.Offset(original.cells) + 1);
+    expect_rejected(floor, "malformed cell offsets");
+  }
+  {
+    // Non-decreasing, but the total does not fit a u32: refused before
+    // the pool is read (which would report it truncated instead).
+    FloorZero floor = original;
+    floor.SetOffset(original.cells, uint64_t{1} << 32);
+    expect_rejected(floor, "malformed cell offsets");
+  }
+  for (int32_t bad : {static_cast<int32_t>(venue.NumPartitions()), -1}) {
+    FloorZero floor = original;
+    floor.Put(floor.PoolAt(), bad);
+    expect_rejected(floor, "cell references unknown partition");
+  }
+  {
+    FloorZero floor = original;
+    floor.payload.insert(floor.payload.end(), 4, 0);
+    expect_rejected(floor, "trailing bytes");
+  }
+}
+
+// Every partition containing `point`, by scanning all of them.
+std::vector<PartitionId> LocateByScan(const Venue& venue,
+                                      const IndoorPoint& point) {
+  std::vector<PartitionId> out;
+  for (size_t p = 0; p < venue.NumPartitions(); ++p) {
+    const Partition& partition = venue.partition(static_cast<PartitionId>(p));
+    if (partition.floor == point.floor && partition.rect.Contains(point.p)) {
+      out.push_back(static_cast<PartitionId>(p));
+    }
+  }
+  return out;
+}
+
+// The point-location grid is an accelerator only: LocateAll on a built
+// venue and on the same venue decoded from its artifact (which
+// re-encodes byte for byte) answers exactly
+// what a scan over every partition does — on partition corners, edge
+// midpoints and centres (shared boundaries included), on door
+// positions, on random points over and around each floor, and on
+// floors the venue does not have.
+TEST(LocateAllPropertyTest, MatchesBruteForceScanBuiltAndLoaded) {
+  MallConfig mall_config = MallConfig::Paper();
+  mall_config.floors = 2;
+  std::vector<Venue> venues;
+  venues.push_back(ValueOrDie(GenerateMall(mall_config), "GenerateMall"));
+  FleetConfig fleet_config;
+  fleet_config.num_venues = 1;
+  fleet_config.seed = 23;
+  fleet_config.min_floors = 3;
+  fleet_config.max_floors = 3;
+  venues.push_back(std::move(
+      ValueOrDie(GenerateVenueFleet(fleet_config), "GenerateVenueFleet")[0]));
+
+  for (size_t v = 0; v < venues.size(); ++v) {
+    const Venue& built = venues[v];
+    const std::vector<uint8_t> image =
+        ValueOrDie(EncodeVenueArtifact(built), "EncodeVenueArtifact");
+    const LoadedVenueWorld loaded = ValueOrDie(
+        DecodeVenueArtifact(image.data(), image.size()), "DecodeVenueArtifact");
+    // The decoded geometry adopts the file's pools, so it re-encodes to
+    // the same bytes.
+    EXPECT_EQ(ValueOrDie(EncodeVenueArtifact(*loaded.venue), "re-encode"),
+              image)
+        << "venue " << v;
+
+    std::vector<IndoorPoint> probes;
+    int min_floor = built.partition(0).floor;
+    int max_floor = min_floor;
+    double min_x = 0, min_y = 0, max_x = 0, max_y = 0;
+    for (size_t p = 0; p < built.NumPartitions(); ++p) {
+      const Partition& partition = built.partition(static_cast<PartitionId>(p));
+      const Rect& r = partition.rect;
+      for (double x : {r.min_x, (r.min_x + r.max_x) / 2, r.max_x}) {
+        for (double y : {r.min_y, (r.min_y + r.max_y) / 2, r.max_y}) {
+          probes.push_back(IndoorPoint{{x, y}, partition.floor});
+        }
+      }
+      min_floor = std::min(min_floor, partition.floor);
+      max_floor = std::max(max_floor, partition.floor);
+      min_x = std::min(min_x, r.min_x);
+      min_y = std::min(min_y, r.min_y);
+      max_x = std::max(max_x, r.max_x);
+      max_y = std::max(max_y, r.max_y);
+    }
+    for (size_t d = 0; d < built.NumDoors(); ++d) {
+      const Door& door = built.door(static_cast<DoorId>(d));
+      probes.push_back(IndoorPoint{door.pos, door.floor});
+    }
+    std::mt19937_64 rng(17 + v);
+    const double pad_x = (max_x - min_x) * 0.1;
+    const double pad_y = (max_y - min_y) * 0.1;
+    std::uniform_real_distribution<double> xs(min_x - pad_x, max_x + pad_x);
+    std::uniform_real_distribution<double> ys(min_y - pad_y, max_y + pad_y);
+    for (int floor = min_floor - 1; floor <= max_floor + 1; ++floor) {
+      for (int i = 0; i < 2000; ++i) {
+        probes.push_back(IndoorPoint{{xs(rng), ys(rng)}, floor});
+      }
+    }
+
+    size_t located = 0;
+    for (const IndoorPoint& probe : probes) {
+      const std::vector<PartitionId> expected = LocateByScan(built, probe);
+      located += expected.empty() ? 0 : 1;
+      ASSERT_EQ(built.LocateAll(probe), expected)
+          << "venue " << v << " built, point (" << probe.p.x << ", "
+          << probe.p.y << ") floor " << probe.floor;
+      ASSERT_EQ(loaded.venue->LocateAll(probe), expected)
+          << "venue " << v << " loaded, point (" << probe.p.x << ", "
+          << probe.p.y << ") floor " << probe.floor;
+    }
+    // The probes exercise the grid, not just its empty answer.
+    EXPECT_GT(located, probes.size() / 4) << "venue " << v;
+  }
 }
 
 // The loaded world's adjacency is compiled from the decoded geometry,

@@ -667,6 +667,77 @@ TEST(FamilyValidationTest, NonFiniteDeparturesRejectedEverywhere) {
   }
 }
 
+// Hostile endpoint coordinates, on every strategy and kind: a NaN or
+// infinite source, target or waypoint fails validation; a finite but
+// absurd one (1e300) lies outside every partition and fails to attach
+// wherever the kind uses that point. Neither reaches the location
+// grid's float-to-int cast (the sanitizer presets trap if one does).
+TEST(FamilyValidationTest, HostileEndpointsRejectedEverywhere) {
+  FamilyWorld world = MakeWorld(42);
+  auto routers = MakeAllRouters(world);
+  QueryContext context;
+  const IndoorPoint inside =
+      IndoorPoint{{world.venue->partition(0).rect.min_x + 1,
+                   world.venue->partition(0).rect.min_y + 1},
+                  world.venue->partition(0).floor};
+  enum Where { kSource, kTarget, kWaypoint };
+
+  for (const auto& router : routers) {
+    for (QueryKind kind :
+         {QueryKind::kPointToPoint, QueryKind::kReachability,
+          QueryKind::kNearestFacility, QueryKind::kMultiStop}) {
+      for (Where where : {kSource, kTarget, kWaypoint}) {
+        for (double bad : {kNan, kInf, -kInf, 1e300, -1e300}) {
+          for (int axis = 0; axis < 2; ++axis) {
+            QueryRequest request;
+            request.kind = kind;
+            request.source = inside;
+            request.target = inside;
+            request.departure = Instant::FromHMS(12);
+            request.budget_seconds = 600;
+            request.k = 1;
+            request.facilities = {0};
+            request.waypoints = {inside};
+            IndoorPoint& point = where == kSource   ? request.source
+                                 : where == kTarget ? request.target
+                                                    : request.waypoints[0];
+            (axis == 0 ? point.p.x : point.p.y) = bad;
+            const bool used =
+                where == kSource ||
+                (where == kTarget && (kind == QueryKind::kPointToPoint ||
+                                      kind == QueryKind::kMultiStop)) ||
+                (where == kWaypoint && kind == QueryKind::kMultiStop);
+            const std::string what =
+                router->name() + " kind " +
+                std::to_string(static_cast<int>(kind)) + " where " +
+                std::to_string(where) + " axis " + std::to_string(axis) +
+                " value " + std::to_string(bad);
+            auto result = router->Route(request, &context);
+            if (!std::isfinite(bad)) {
+              ASSERT_FALSE(result.ok()) << what;
+              EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+                  << what;
+              EXPECT_NE(result.status().message().find("finite"),
+                        std::string::npos)
+                  << what << ": " << result.status().message();
+            } else if (used) {
+              ASSERT_FALSE(result.ok()) << what;
+              EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+                  << what;
+              EXPECT_NE(result.status().message().find("outside"),
+                        std::string::npos)
+                  << what << ": " << result.status().message();
+            } else {
+              EXPECT_TRUE(result.ok()) << what << ": "
+                                       << result.status().ToString();
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(FamilyValidationTest, MalformedFamilyParametersRejected) {
   FamilyWorld world = MakeWorld(42);
   auto routers = MakeAllRouters(world);

@@ -15,6 +15,7 @@
 #include <sys/socket.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -257,6 +258,83 @@ TEST(NetReplayTest, NanDepartureOverWireFailsLikeLocal) {
   }
   // The malformed frames never reached admission.
   EXPECT_EQ(server->service().Stats().submitted, 0u);
+}
+
+// Hostile endpoint coordinates over the wire, on all four kinds (p2p
+// rides kQuery, the families kTemporalQuery): a NaN or infinite source,
+// target or waypoint is a structural decode error, connection-fatal
+// like a NaN departure; a finite but absurd one (1e300) decodes and
+// fails per query with kInvalidArgument wherever the kind uses it.
+TEST(NetReplayTest, HostileEndpointsOverWireFailLikeLocal) {
+  auto server = MakeTestServer();
+  const ItGraph& graph = server->service().catalog().graph(0);
+  enum Where { kSource, kTarget, kWaypoint };
+  for (QueryKind kind :
+       {QueryKind::kPointToPoint, QueryKind::kReachability,
+        QueryKind::kNearestFacility, QueryKind::kMultiStop}) {
+    QueryRequest base;
+    if (kind == QueryKind::kPointToPoint) {
+      MultiVenueWorkloadConfig config;
+      config.num_requests = 1;
+      config.seed = 29;
+      base = ValueOrDie(
+          GenerateMultiVenueWorkload(server->service().catalog(), config),
+          "GenerateMultiVenueWorkload")[0];
+    } else {
+      FamilyGenConfig config;
+      config.kind = kind;
+      config.num_queries = 1;
+      config.seed = 31;
+      base = ValueOrDie(GenerateFamilyQueries(graph, config), "family gen")[0];
+    }
+    if (base.waypoints.empty()) base.waypoints = {base.source};
+    // One live connection for the per-query failures; a fresh one after
+    // each connection-fatal frame.
+    auto client =
+        ValueOrDie(NetClient::Connect(server->port()), "NetClient::Connect");
+    for (Where where : {kSource, kTarget, kWaypoint}) {
+      // kQuery frames carry no waypoints.
+      if (where == kWaypoint && kind == QueryKind::kPointToPoint) continue;
+      for (double bad : {std::numeric_limits<double>::quiet_NaN(), kInf,
+                         -kInf, 1e300}) {
+        QueryRequest request = base;
+        IndoorPoint& point = where == kSource   ? request.source
+                             : where == kTarget ? request.target
+                                                : request.waypoints[0];
+        point.p.x = bad;
+        const std::string what = "kind " +
+                                 std::to_string(static_cast<int>(kind)) +
+                                 " where " + std::to_string(where) +
+                                 " value " + std::to_string(bad);
+        if (!std::isfinite(bad)) {
+          auto fatal =
+              ValueOrDie(NetClient::Connect(server->port()), "Connect");
+          auto reply = fatal->Query(request, kInf, QosClass::kInteractive);
+          ASSERT_FALSE(reply.ok()) << what;
+          EXPECT_EQ(reply.status().code(), StatusCode::kFailedPrecondition)
+              << what;
+          EXPECT_NE(reply.status().message().find("not finite"),
+                    std::string::npos)
+              << what << ": " << reply.status().ToString();
+          continue;
+        }
+        const bool used =
+            where == kSource ||
+            (where == kTarget && (kind == QueryKind::kPointToPoint ||
+                                  kind == QueryKind::kMultiStop)) ||
+            (where == kWaypoint && kind == QueryKind::kMultiStop);
+        const WireReply reply = ValueOrDie(
+            client->Query(request, kInf, QosClass::kInteractive), "Query");
+        EXPECT_EQ(reply.code, used ? StatusCode::kInvalidArgument
+                                   : StatusCode::kOk)
+            << what;
+      }
+    }
+  }
+  // The malformed frames never reached admission; only the 1e300 ones
+  // did.
+  const size_t admitted = server->service().Stats().submitted;
+  EXPECT_EQ(admitted, 11u);
 }
 
 // Semantically malformed family parameters (k == 0 here) are per-query

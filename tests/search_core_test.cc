@@ -106,7 +106,7 @@ void ExpectAdjacencyMatchesPairwiseWalk(const Venue& venue,
   // pairwise[p][i * k + j]: door i to door j of partition p's k doors.
   std::vector<std::vector<double>> pairwise(venue.NumPartitions());
   for (size_t p = 0; p < pairwise.size(); ++p) {
-    const auto& doors = venue.DoorsOf(static_cast<PartitionId>(p));
+    const Span<DoorId> doors = venue.DoorsOf(static_cast<PartitionId>(p));
     for (DoorId a : doors) {
       for (DoorId b : doors) {
         pairwise[p].push_back(
@@ -123,7 +123,7 @@ void ExpectAdjacencyMatchesPairwiseWalk(const Venue& venue,
       const size_t seg = 2 * d + side;
       const PartitionId p = venue.door(door).partitions[side];
       ASSERT_EQ(adj.seg_partition[seg], p) << label << " door " << d;
-      const auto& doors = venue.DoorsOf(p);
+      const Span<DoorId> doors = venue.DoorsOf(p);
       const size_t row = static_cast<size_t>(
           std::find(doors.begin(), doors.end(), door) - doors.begin());
       ASSERT_LT(row, doors.size()) << label << " door " << d;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -44,6 +45,16 @@ TEST(VenueBuilderTest, RejectsBadInput) {
     builder.AddPartition(Rect{0, 0, 10, 0}, 0);  // degenerate
     EXPECT_FALSE(std::move(builder).Build().ok());
   }
+  // NaN or infinite extents: the location grid could not be sized.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Rect& rect : {Rect{0, 0, nan, 10}, Rect{nan, 0, 10, 10},
+                           Rect{0, 0, 10, inf}, Rect{-inf, 0, 10, 10},
+                           Rect{0, -inf, inf, 10}}) {
+    Venue::Builder builder;
+    builder.AddPartition(rect, 0);
+    EXPECT_FALSE(std::move(builder).Build().ok());
+  }
   {
     Venue::Builder builder;
     const PartitionId a = builder.AddPartition(Rect{0, 0, 10, 10}, 0);
@@ -76,6 +87,62 @@ TEST(VenueTest, LocateAllOnSharedBoundaryReturnsBoth) {
   ASSERT_EQ(shared.size(), 2u);
   EXPECT_EQ(shared[0], 0);
   EXPECT_EQ(shared[1], 1);
+}
+
+// LocateAll takes any coordinates: NaN, infinities and values far past
+// INT_MAX cells are clamped in double before the grid's float-to-int
+// cast (which the sanitizer presets trap), and extreme floors are
+// compared without overflowing. Points off the venue locate nowhere.
+TEST(VenueTest, LocateAllToleratesHostileCoordinates) {
+  Venue::Builder builder;
+  // Floor 0 spans several 64 m grid cells; floor 1 is empty.
+  const PartitionId west = builder.AddPartition(Rect{0, 0, 100, 150}, 0);
+  const PartitionId east = builder.AddPartition(Rect{100, 0, 300, 150}, 0);
+  builder.AddPartition(Rect{0, 0, 50, 50}, 2);
+  builder.AddDoor(Point2d{100, 75}, 0, west, east);
+  auto built = std::move(builder).Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const Venue venue = *std::move(built);
+  EXPECT_EQ(venue.LocateAll(IndoorPoint{{250, 140}, 0}),
+            std::vector<PartitionId>{east});
+  EXPECT_EQ(venue.LocateAll(IndoorPoint{{100, 0}, 0}),
+            (std::vector<PartitionId>{west, east}));
+  EXPECT_TRUE(venue.LocateAll(IndoorPoint{{10, 10}, 1}).empty());
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double max = std::numeric_limits<double>::max();
+  for (double bad : {nan, inf, -inf, 1e300, -1e300, max, -max}) {
+    for (int floor : {0, 2}) {
+      EXPECT_TRUE(venue.LocateAll(IndoorPoint{{bad, 10}, floor}).empty())
+          << bad;
+      EXPECT_TRUE(venue.LocateAll(IndoorPoint{{10, bad}, floor}).empty())
+          << bad;
+      EXPECT_TRUE(venue.LocateAll(IndoorPoint{{bad, bad}, floor}).empty())
+          << bad;
+    }
+  }
+  for (int floor : {std::numeric_limits<int>::min(),
+                    std::numeric_limits<int>::max(), -1, 3}) {
+    EXPECT_TRUE(venue.LocateAll(IndoorPoint{{10, 10}, floor}).empty())
+        << floor;
+  }
+}
+
+// A finite but absurdly wide floor caps its grid instead of overflowing
+// the cell count; points still locate exactly.
+TEST(VenueTest, HugeFloorGetsACappedGrid) {
+  Venue::Builder builder;
+  const PartitionId wide = builder.AddPartition(Rect{0, 0, 1e300, 10}, 0);
+  const PartitionId small = builder.AddPartition(Rect{0, 10, 10, 20}, 0);
+  auto built = std::move(builder).Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_EQ(built->LocateAll(IndoorPoint{{1e299, 5}, 0}),
+            std::vector<PartitionId>{wide});
+  EXPECT_EQ(built->LocateAll(IndoorPoint{{5, 15}, 0}),
+            std::vector<PartitionId>{small});
+  EXPECT_EQ(built->LocateAll(IndoorPoint{{5, 10}, 0}),
+            (std::vector<PartitionId>{wide, small}));
 }
 
 // Door positions + door lists are the only source of door-to-door
@@ -142,7 +209,7 @@ TEST(VenueBuilderTest, FromVenueSharesGeometryUntilAGeometryEdit) {
   ASSERT_EQ(grown.DoorAti(1).size(), 1u);
   EXPECT_EQ(grown.DoorAti(1)[0].start, MakeInterval(8, 0, 20, 0).start);
   EXPECT_TRUE(grown.DoorAti(door).empty());
-  EXPECT_EQ(grown.DoorsOf(annex), std::vector<DoorId>{door});
+  EXPECT_EQ(grown.DoorsOf(annex).ToVector(), std::vector<DoorId>{door});
 }
 
 TEST(VenueBuilderTest, FromVenueRoundTrips) {
@@ -156,7 +223,7 @@ TEST(VenueBuilderTest, FromVenueRoundTrips) {
     EXPECT_EQ(copy->door(d).pos.y, original.door(d).pos.y);
   }
   for (PartitionId p = 0; p < 3; ++p) {
-    EXPECT_EQ(copy->DoorsOf(p), original.DoorsOf(p));
+    EXPECT_EQ(copy->DoorsOf(p).ToVector(), original.DoorsOf(p).ToVector());
   }
 }
 
